@@ -2,9 +2,9 @@
 # Serving smoke suite: boots the release `mintri serve` binary, drives
 # the whole HTTP surface with curl, asserts the warm-replay contract
 # (`"is_replay":true` on the second identical query) and the ranked
-# best-k contract (output-sensitive scan by default, `"ranked": false`
-# forces the exhaustive scan, identical winners either way), checks the
-# observability surface (`/v1/metrics` counters advance, replay hits
+# best-k contract (output-sensitive scan by default, `"policy":
+# {"ranked": false}` forces the exhaustive scan, identical winners
+# either way), checks the observability surface (`/v1/metrics` counters advance, replay hits
 # and ranked queries register, a deliberately slow best-k lands in the
 # slow-query ring, and a `"trace": true` response round-trips through
 # the core JSON parser via `bench_check --parse`), asserts `/v1/stats`
@@ -64,7 +64,7 @@ echo "   graph_id=$GID"
 ENUM="{\"graph_id\":\"$GID\",\"query\":{\"task\":{\"type\":\"enumerate\"}}}"
 # Deterministic delivery pins the exhaustive gear's tie-break order so
 # the winners below are comparable across gears.
-BESTK="{\"graph_id\":\"$GID\",\"query\":{\"task\":{\"type\":\"best_k\",\"k\":2,\"cost\":\"width\"},\"delivery\":\"deterministic\"}}"
+BESTK="{\"graph_id\":\"$GID\",\"query\":{\"task\":{\"type\":\"best_k\",\"k\":2,\"cost\":\"width\"},\"policy\":{\"delivery\":\"deterministic\"}}}"
 
 echo "== cold enumerate"
 COLD=$(curl -sf -X POST "$BASE/v1/query" -d "$ENUM")
@@ -79,8 +79,8 @@ echo "$RANKED_RESP" | grep -q '"count":2' || fail "best-k must return 2 items: $
 echo "$RANKED_RESP" | grep -q '"scanned":2' || fail "ranked best-k must scan only k results: $RANKED_RESP"
 echo "$RANKED_RESP" | grep -q '"completed":true' || fail "ranked best-k must prove its winners: $RANKED_RESP"
 
-echo "== best-k (\"ranked\": false forces the exhaustive scan)"
-BESTK_EXH="{\"graph_id\":\"$GID\",\"query\":{\"task\":{\"type\":\"best_k\",\"k\":2,\"cost\":\"width\"},\"delivery\":\"deterministic\",\"ranked\":false}}"
+echo "== best-k (\"policy.ranked\": false forces the exhaustive scan)"
+BESTK_EXH="{\"graph_id\":\"$GID\",\"query\":{\"task\":{\"type\":\"best_k\",\"k\":2,\"cost\":\"width\"},\"policy\":{\"delivery\":\"deterministic\",\"ranked\":false}}}"
 EXH_RESP=$(curl -sf -X POST "$BASE/v1/query" -d "$BESTK_EXH")
 echo "$EXH_RESP" | grep -q '"count":2' || fail "exhaustive best-k must return 2 items: $EXH_RESP"
 echo "$EXH_RESP" | grep -q '"scanned":14' || fail "exhaustive best-k must scan all 14 results: $EXH_RESP"
@@ -135,6 +135,12 @@ CODE=$(curl -s -o /tmp/smoke_400.json -w '%{http_code}' -X POST "$BASE/v1/query"
 [ "$CODE" = "400" ] || fail "malformed JSON must answer 400, got $CODE"
 grep -q '"error"' /tmp/smoke_400.json || fail "400 body must be structured"
 curl -sf "$BASE/healthz" >/dev/null || fail "server must survive malformed input"
+# Policy knobs live only in the policy object; a top-level one is
+# rejected by name, never silently reinterpreted.
+FLAT="{\"graph_id\":\"$GID\",\"query\":{\"task\":{\"type\":\"enumerate\"},\"ranked\":false}}"
+CODE=$(curl -s -o /tmp/smoke_flat.json -w '%{http_code}' -X POST "$BASE/v1/query" -d "$FLAT")
+[ "$CODE" = "400" ] || fail "a top-level policy knob must answer 400, got $CODE"
+grep -q 'policy.ranked' /tmp/smoke_flat.json || fail "the 400 must name policy.ranked: $(cat /tmp/smoke_flat.json)"
 
 echo "== stats (learned cost profile included, document round-trips the core parser)"
 curl -sf "$BASE/v1/stats" > /tmp/smoke_stats.json

@@ -28,11 +28,6 @@
 //!   kernel keeps cold enumeration at least `--min-kernel-ratio`
 //!   (default 1.3, fractional allowed) times faster than the ablated
 //!   allocating path, with a positive `Extend` count on both sides.
-//! * `--adaptive FILE` (`adaptive_gain` output): the repeat-visit gate
-//!   — run 1 and run 2 scan the same answer set, run 1 taught the
-//!   profiler at least one entry, and the second visit through the same
-//!   engine ran at least `--min-adaptive-ratio` (default 1.2,
-//!   fractional allowed) times faster than the first.
 //! * `--parse FILE`: the file parses with `mintri_core::json` — the
 //!   serve smoke uses this to prove a `"trace": true` response
 //!   round-trips through the core parser.
@@ -270,51 +265,6 @@ fn check_kernel(path: &str, min_ratio: f64) -> Result<(), String> {
     Ok(())
 }
 
-fn check_adaptive(path: &str, min_ratio: f64) -> Result<(), String> {
-    let doc = load(path)?;
-    let gate = field(&doc, &["gate"])?;
-    let run1_scanned = field(gate, &["run1_scanned"])?
-        .as_usize()
-        .ok_or("run1_scanned must be an integer")?;
-    let run2_scanned = field(gate, &["run2_scanned"])?
-        .as_usize()
-        .ok_or("run2_scanned must be an integer")?;
-    if run1_scanned == 0 || run1_scanned != run2_scanned {
-        return Err(format!(
-            "{path}: scan counts diverge (run 1 {run1_scanned}, run 2 {run2_scanned}) — \
-             adaptivity reschedules, it must never answer"
-        ));
-    }
-    let entries = field(gate, &["profile_entries"])?
-        .as_usize()
-        .ok_or("profile_entries must be an integer")?;
-    if entries == 0 {
-        return Err(format!("{path}: run 1 taught the profiler nothing"));
-    }
-    for key in ["run1_seconds", "run2_seconds"] {
-        let seconds = field(gate, &[key])?
-            .as_f64()
-            .ok_or_else(|| format!("{key} must be a number"))?;
-        if seconds <= 0.0 || seconds.is_nan() {
-            return Err(format!("{path}: {key} = {seconds}"));
-        }
-    }
-    let ratio = field(gate, &["run1_over_run2"])?
-        .as_f64()
-        .ok_or("run1_over_run2 must be a number")?;
-    if ratio.is_nan() || ratio < min_ratio {
-        return Err(format!(
-            "{path}: second visit only {ratio:.2}x the first (gate: >= {min_ratio}x)"
-        ));
-    }
-    eprintln!(
-        "adaptive ok: {} — repeat visit {ratio:.1}x cold over {run1_scanned} answers, \
-         {entries} profile entries",
-        field(gate, &["workload"])?.as_str().unwrap_or("?")
-    );
-    Ok(())
-}
-
 /// Not a gate on values — a gate on *shape*: the document must survive
 /// the same parser the wire clients use.
 fn check_parse(path: &str) -> Result<(), String> {
@@ -342,17 +292,12 @@ fn main() -> ExitCode {
         .get_str("min-kernel-ratio", "1.3")
         .parse::<f64>()
         .unwrap_or(1.3);
-    let min_adaptive_ratio = args
-        .get_str("min-adaptive-ratio", "1.2")
-        .parse::<f64>()
-        .unwrap_or(1.2);
     let serve = args.get_str("serve", "");
     let reduction = args.get_str("reduction", "");
     let ranked = args.get_str("ranked", "");
     let store = args.get_str("store", "");
     let telemetry = args.get_str("telemetry", "");
     let kernel = args.get_str("kernel", "");
-    let adaptive = args.get_str("adaptive", "");
     let parse = args.get_str("parse", "");
     if serve.is_empty()
         && reduction.is_empty()
@@ -360,16 +305,15 @@ fn main() -> ExitCode {
         && store.is_empty()
         && telemetry.is_empty()
         && kernel.is_empty()
-        && adaptive.is_empty()
         && parse.is_empty()
     {
         eprintln!(
             "usage: bench_check [--serve BENCH_serve.json] [--reduction BENCH_reduction.json] \
              [--ranked BENCH_ranked.json] [--store BENCH_store.json] \
              [--telemetry BENCH_telemetry.json] [--kernel BENCH_kernel.json] \
-             [--adaptive BENCH_adaptive.json] [--parse FILE.json] \
+             [--parse FILE.json] \
              [--min-ratio R] [--min-ranked-ratio R] [--min-store-ratio R] [--max-overhead-pct P] \
-             [--min-kernel-ratio R] [--min-adaptive-ratio R]"
+             [--min-kernel-ratio R]"
         );
         return ExitCode::FAILURE;
     }
@@ -391,9 +335,6 @@ fn main() -> ExitCode {
     }
     if !kernel.is_empty() {
         checks.push(check_kernel(&kernel, min_kernel_ratio));
-    }
-    if !adaptive.is_empty() {
-        checks.push(check_adaptive(&adaptive, min_adaptive_ratio));
     }
     if !parse.is_empty() {
         checks.push(check_parse(&parse));

@@ -5,8 +5,8 @@
 //! again — served from the session's completed answer cache with zero
 //! `Extend` calls). Emits `BENCH_serve.json`.
 //!
-//! The gate workload is a budget-free best-k scan with `"plan": false`
-//! and `"ranked": false`: the response body is tiny (k = 2 items), so
+//! The gate workload is a budget-free best-k scan with the policy's
+//! `"plan": false` and `"ranked": false`: the response body is tiny (k = 2 items), so
 //! the measured ratio is compute-vs-replay, not JSON rendering;
 //! planning is disabled so every distinct cold graph owns a distinct
 //! whole-graph session (no atom sharing between the "cold" requests);
@@ -89,13 +89,13 @@ fn upload(client: &mut Client, g: &Graph) -> String {
         .to_string()
 }
 
-// `"ranked": false` keeps this the full-scan gate: the ranked gear is
-// output-sensitive (stops after ~k pulls, deposits no answer cache), so
-// a ranked cold request would neither exercise the compute being gated
-// nor arm the warm replay.
+// `"policy": {"ranked": false}` keeps this the full-scan gate: the
+// ranked gear is output-sensitive (stops after ~k pulls, deposits no
+// answer cache), so a ranked cold request would neither exercise the
+// compute being gated nor arm the warm replay.
 fn best_k_spec(graph_id: &str) -> String {
     format!(
-        r#"{{"graph_id":"{graph_id}","query":{{"task":{{"type":"best_k","k":2,"cost":"width"}},"plan":false,"ranked":false}}}}"#
+        r#"{{"graph_id":"{graph_id}","query":{{"task":{{"type":"best_k","k":2,"cost":"width"}},"policy":{{"plan":false,"ranked":false}}}}}}"#
     )
 }
 

@@ -19,9 +19,9 @@
 //!    append fields, [`JsonObject::finish`] into a compact document.
 //! 3. The **wire codec**: [`query_to_json`] / [`query_from_json`]
 //!    round-trip a typed [`Query`] (task, backend by name, print mode,
-//!    budget, delivery, threads, plan, ranked — everything except the
-//!    process-local [`CancelToken`](crate::query::CancelToken), which
-//!    parses fresh), [`graph_to_json`] / [`graph_from_json`] carry the
+//!    budget, the policy's threads, plan, ranked and delivery —
+//!    everything except the process-local
+//!    [`CancelToken`](crate::query::CancelToken), which parses fresh), [`graph_to_json`] / [`graph_from_json`] carry the
 //!    full edge list, and [`outcome_json`] / [`response_document`]
 //!    render a [`QueryOutcome`] the way every CLI `--format json`
 //!    command prints it.
@@ -666,10 +666,7 @@ fn delivery_name(delivery: Delivery) -> &'static str {
 /// [`Triangulator::name`] — see [`triangulator_from_name`] for the
 /// names that round-trip; parameterized/custom backends collapse to
 /// their name's default on decode), print mode, budget, and the
-/// execution policy — emitted twice: as the authoritative `"policy"`
-/// object, and as the legacy flat `delivery`/`threads`/`plan`/`ranked`
-/// fields (the policy's pinned knobs) so pre-policy readers degrade to
-/// an equivalent `Fixed` execution instead of failing.
+/// execution policy as the `"policy"` object.
 pub fn query_to_json(q: &Query) -> String {
     let mut budget = JsonObject::new();
     match q.budget.max_results {
@@ -681,19 +678,10 @@ pub fn query_to_json(q: &Query) -> String {
         None => budget.raw("time_limit_ms", "null".into()),
     }
     let mut policy = JsonObject::new();
-    policy.str("mode", q.policy.name());
-    if let ExecPolicy::Fixed {
-        threads,
-        planned,
-        ranked,
-        ..
-    } = q.policy
-    {
-        policy.usize("threads", threads);
-        policy.bool("plan", planned);
-        policy.bool("ranked", ranked);
-    }
-    policy.str("delivery", delivery_name(q.policy.delivery()));
+    policy.usize("threads", q.policy.threads);
+    policy.bool("plan", q.policy.planned);
+    policy.bool("ranked", q.policy.ranked);
+    policy.str("delivery", delivery_name(q.policy.delivery));
     let mut doc = JsonObject::new();
     doc.raw("task", task_json(&q.task));
     doc.str("triangulator", q.triangulator.name());
@@ -706,10 +694,6 @@ pub fn query_to_json(q: &Query) -> String {
     );
     doc.raw("budget", budget.finish());
     doc.raw("policy", policy.finish());
-    doc.str("delivery", delivery_name(q.policy.delivery()));
-    doc.usize("threads", q.policy.threads());
-    doc.bool("plan", q.policy.planned());
-    doc.bool("ranked", q.policy.ranked());
     doc.bool("trace", q.trace);
     doc.finish()
 }
@@ -762,81 +746,47 @@ pub fn query_from_json(v: &JsonValue) -> Result<Query, String> {
     Ok(query)
 }
 
-/// Decodes the execution policy of a wire query: the `"policy"` object
-/// when present (authoritative), else the legacy flat
-/// `delivery`/`threads`/`plan`/`ranked` fields — any of which pins an
-/// [`ExecPolicy::Fixed`], exactly what those knobs meant before the
-/// policy existed — else the [`ExecPolicy::Auto`] default.
+/// Decodes the execution policy of a wire query: the `"policy"` object,
+/// each knob defaulting to [`ExecPolicy::default`]. The knobs live only
+/// there: a query carrying one at the top level is rejected with an
+/// error naming its `policy.*` field rather than silently reinterpreted.
 fn policy_from_json(v: &JsonValue) -> Result<ExecPolicy, String> {
-    let delivery_of = |field: &JsonValue, key: &str| -> Result<Delivery, String> {
-        match field.as_str() {
-            Some("unordered") => Ok(Delivery::Unordered),
-            Some("deterministic") => Ok(Delivery::Deterministic),
-            _ => Err(format!("`{key}` must be unordered or deterministic")),
+    for key in ["threads", "plan", "ranked", "delivery"] {
+        if v.get(key).is_some() {
+            return Err(format!(
+                "`{key}` belongs in the policy object: send `policy.{key}`"
+            ));
+        }
+    }
+    let default = ExecPolicy::default();
+    let Some(policy) = v.get("policy") else {
+        return Ok(default);
+    };
+    if policy.entries().is_none() {
+        return Err("`policy` must be an object".into());
+    }
+    let flag = |key: &str, default: bool| -> Result<bool, String> {
+        match policy.get(key) {
+            Some(b) => b
+                .as_bool()
+                .ok_or(format!("`policy.{key}` must be a boolean")),
+            None => Ok(default),
         }
     };
-    if let Some(policy) = v.get("policy") {
-        if policy.entries().is_none() {
-            return Err("`policy` must be an object".into());
-        }
-        let delivery = match policy.get("delivery") {
-            Some(d) => delivery_of(d, "policy.delivery")?,
-            None => Delivery::Unordered,
-        };
-        return match policy.get("mode").and_then(JsonValue::as_str) {
-            Some("auto") => Ok(ExecPolicy::Auto { delivery }),
-            Some("fixed") => {
-                let threads = match policy.get("threads") {
-                    Some(n) => n
-                        .as_usize()
-                        .ok_or("`policy.threads` must be a non-negative integer")?,
-                    None => 0,
-                };
-                let planned = match policy.get("plan") {
-                    Some(b) => b.as_bool().ok_or("`policy.plan` must be a boolean")?,
-                    None => true,
-                };
-                let ranked = match policy.get("ranked") {
-                    Some(b) => b.as_bool().ok_or("`policy.ranked` must be a boolean")?,
-                    None => true,
-                };
-                Ok(ExecPolicy::Fixed {
-                    threads,
-                    planned,
-                    ranked,
-                    delivery,
-                })
-            }
-            _ => Err("`policy.mode` must be auto or fixed".into()),
-        };
-    }
-    // Legacy flat fields: presence of any knob means the caller wrote a
-    // pre-policy query — honor it as a pinned Fixed execution.
-    let delivery = v.get("delivery");
-    let threads = v.get("threads");
-    let plan = v.get("plan");
-    let ranked = v.get("ranked");
-    if delivery.is_none() && threads.is_none() && plan.is_none() && ranked.is_none() {
-        return Ok(ExecPolicy::default());
-    }
-    Ok(ExecPolicy::Fixed {
-        threads: match threads {
+    Ok(ExecPolicy {
+        threads: match policy.get("threads") {
             Some(n) => n
                 .as_usize()
-                .ok_or("`threads` must be a non-negative integer")?,
-            None => 0,
+                .ok_or("`policy.threads` must be a non-negative integer")?,
+            None => default.threads,
         },
-        planned: match plan {
-            Some(b) => b.as_bool().ok_or("`plan` must be a boolean")?,
-            None => true,
-        },
-        ranked: match ranked {
-            Some(b) => b.as_bool().ok_or("`ranked` must be a boolean")?,
-            None => true,
-        },
-        delivery: match delivery {
-            Some(d) => delivery_of(d, "delivery")?,
-            None => Delivery::Unordered,
+        planned: flag("plan", default.planned)?,
+        ranked: flag("ranked", default.ranked)?,
+        delivery: match policy.get("delivery").map(JsonValue::as_str) {
+            None => default.delivery,
+            Some(Some("unordered")) => Delivery::Unordered,
+            Some(Some("deterministic")) => Delivery::Deterministic,
+            Some(_) => return Err("`policy.delivery` must be unordered or deterministic".into()),
         },
     })
 }
@@ -1057,7 +1007,7 @@ mod tests {
                 42,
                 Duration::from_millis(1500),
             ))
-            .policy(ExecPolicy::Fixed {
+            .policy(ExecPolicy {
                 threads: 3,
                 planned: false,
                 ranked: false,
@@ -1071,54 +1021,57 @@ mod tests {
         assert_eq!(back.budget.max_results, Some(42));
         assert_eq!(back.budget.time_limit, Some(Duration::from_millis(1500)));
         assert_eq!(back.policy, q.policy);
-        // The legacy flat fields ride along for pre-policy readers.
+        // The knobs travel only inside the policy object.
         let v = JsonValue::parse(&doc).unwrap();
-        assert_eq!(v.get("threads").unwrap().as_usize(), Some(3));
-        assert_eq!(v.get("plan").unwrap().as_bool(), Some(false));
-        assert_eq!(v.get("delivery").unwrap().as_str(), Some("deterministic"));
+        let policy = v.get("policy").unwrap();
+        assert_eq!(policy.get("threads").unwrap().as_usize(), Some(3));
+        assert_eq!(policy.get("plan").unwrap().as_bool(), Some(false));
+        assert_eq!(
+            policy.get("delivery").unwrap().as_str(),
+            Some("deterministic")
+        );
+        for key in ["threads", "plan", "ranked", "delivery"] {
+            assert!(v.get(key).is_none(), "no flat `{key}` field");
+        }
+        assert!(policy.get("mode").is_none(), "`policy.mode` is gone");
     }
 
     #[test]
-    fn policy_codec_auto_round_trips_and_flat_fields_pin_fixed() {
-        // Auto (the default) survives the wire as Auto.
-        let q = Query::enumerate();
-        assert!(q.policy.is_auto());
-        let back = query_from_json(&JsonValue::parse(&query_to_json(&q)).unwrap()).unwrap();
-        assert_eq!(back.policy, ExecPolicy::default());
-        // Auto under a deterministic contract keeps both.
-        let q =
-            Query::enumerate().policy(ExecPolicy::auto().with_delivery(Delivery::Deterministic));
-        let back = query_from_json(&JsonValue::parse(&query_to_json(&q)).unwrap()).unwrap();
-        assert_eq!(
-            back.policy,
-            ExecPolicy::Auto {
-                delivery: Delivery::Deterministic
-            }
-        );
-        // A pre-policy document (flat fields only) decodes to the Fixed
-        // execution those knobs always meant.
-        let flat = r#"{"task":{"type":"enumerate"},"threads":2,"ranked":false}"#;
-        let q = query_from_json(&JsonValue::parse(flat).unwrap()).unwrap();
-        assert_eq!(
-            q.policy,
-            ExecPolicy::Fixed {
-                threads: 2,
-                planned: true,
-                ranked: false,
-                delivery: Delivery::Unordered,
-            }
-        );
-        // A policy object wins over contradictory flat fields.
-        let both = r#"{"task":{"type":"enumerate"},"threads":7,"policy":{"mode":"auto"}}"#;
-        let q = query_from_json(&JsonValue::parse(both).unwrap()).unwrap();
-        assert_eq!(q.policy, ExecPolicy::default());
+    fn policy_codec_rejects_flat_fields_and_ignores_mode() {
+        // Knobs left out of the policy object take their defaults; a
+        // `mode` from older writers is ignored.
+        let partial = r#"{"task":{"type":"enumerate"},"policy":{"mode":"fixed","ranked":false}}"#;
+        let q = query_from_json(&JsonValue::parse(partial).unwrap()).unwrap();
+        assert_eq!(q.policy, ExecPolicy::default().with_ranked(false));
+        // A knob at the top level is an error naming its policy field,
+        // with or without a policy object alongside.
+        for (flat, field) in [
+            (
+                r#"{"task":{"type":"enumerate"},"threads":2}"#,
+                "policy.threads",
+            ),
+            (
+                r#"{"task":{"type":"enumerate"},"plan":false}"#,
+                "policy.plan",
+            ),
+            (
+                r#"{"task":{"type":"enumerate"},"ranked":false,"policy":{}}"#,
+                "policy.ranked",
+            ),
+            (
+                r#"{"task":{"type":"enumerate"},"delivery":"deterministic"}"#,
+                "policy.delivery",
+            ),
+        ] {
+            let err = query_from_json(&JsonValue::parse(flat).unwrap()).unwrap_err();
+            assert!(err.contains(field), "{flat}: {err}");
+        }
         // Malformed policies are rejected with their own errors.
         for bad in [
             r#"{"task":{"type":"enumerate"},"policy":"auto"}"#,
-            r#"{"task":{"type":"enumerate"},"policy":{"mode":"magic"}}"#,
-            r#"{"task":{"type":"enumerate"},"policy":{"mode":"fixed","threads":-1}}"#,
-            r#"{"task":{"type":"enumerate"},"policy":{"mode":"auto","delivery":"sorted"}}"#,
-            r#"{"task":{"type":"enumerate"},"policy":{"mode":"fixed","plan":"yes"}}"#,
+            r#"{"task":{"type":"enumerate"},"policy":{"threads":-1}}"#,
+            r#"{"task":{"type":"enumerate"},"policy":{"delivery":"sorted"}}"#,
+            r#"{"task":{"type":"enumerate"},"policy":{"plan":"yes"}}"#,
         ] {
             let v = JsonValue::parse(bad).unwrap();
             assert!(query_from_json(&v).is_err(), "{bad} should fail");
@@ -1153,13 +1106,12 @@ mod tests {
             .unwrap();
         assert_eq!(q.task, Task::Enumerate);
         assert_eq!(q.triangulator.name(), "MCS_M");
-        assert!(
-            q.policy.is_auto(),
-            "a knob-free wire query gets the Auto default"
+        assert_eq!(
+            q.policy,
+            ExecPolicy::default(),
+            "a knob-free wire query gets the default policy"
         );
-        assert!(q.policy.planned());
-        assert!(q.policy.ranked(), "ranked defaults on for wire queries too");
-        assert_eq!(q.policy.threads(), 0);
+        assert!(q.policy.ranked, "ranked defaults on for wire queries too");
 
         for bad in [
             r#"{"task":{"type":"mine_bitcoin"}}"#,

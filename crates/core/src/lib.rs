@@ -35,8 +35,9 @@
 //! [`Response`] handle (stream + [`Response::cancel`] +
 //! [`Response::outcome`]). [`Query::run_local`] executes sequentially
 //! with zero setup; `mintri_engine::Engine::run` executes the same query
-//! with warm sessions, parallel drivers and completed-answer replay. The
-//! items above remain as the underlying kernel.
+//! with warm sessions, parallel drivers and completed-answer replay.
+//! Both run the one dispatch path in [`dispatch`] and differ only in how
+//! they open a stream. The items above remain as the underlying kernel.
 //!
 //! ## The planning layer
 //!
@@ -46,11 +47,13 @@
 //! one [`TriangulationStream`] runs per non-trivial atom, and the
 //! product [`ComposedStream`] recombines them — so a graph of many
 //! small atoms pays the *sum* of small enumerations instead of one
-//! exponential blob. `ExecPolicy::fixed().with_planned(false)` forces
-//! the unreduced path.
+//! exponential blob. A policy with `planned: false`
+//! (`ExecPolicy::default().with_planned(false)`) forces the unreduced
+//! path.
 
 mod anytime;
 mod bruteforce;
+pub mod dispatch;
 mod eager;
 mod enumerator;
 pub mod json;

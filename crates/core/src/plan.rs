@@ -16,25 +16,20 @@
 //! [`TriangulationStream`], so budgets, top-k selection, decomposition
 //! expansion, stats, cancellation and both deliveries in
 //! [`Response`](crate::query::Response) work over composed streams
-//! exactly as over flat ones. [`Query::run_local`](crate::query::Query)
-//! composes sequential per-atom streams; `mintri_engine::Engine::run`
-//! composes per-atom *session* streams, which is what makes warm memos
-//! and replayed answers shareable between different graphs that happen
-//! to contain the same atom.
+//! exactly as over flat ones. Both executors compose through
+//! [`crate::dispatch::assemble`]: [`Query::run_local`](crate::query::Query)
+//! over fresh sequential per-atom streams, `mintri_engine::Engine::run`
+//! over per-atom *session* streams, which is what makes warm memos and
+//! replayed answers shareable between different graphs that happen to
+//! contain the same atom.
 
-use crate::msgraph::MsGraph;
-use crate::query::{CostMeasure, TracedStream, TriangulationStream};
-use crate::ranked::{cost_floor, RankedAtom, RankedComposed, RankedStream};
-use crate::MinimalTriangulationsEnumerator;
+use crate::query::TriangulationStream;
 use mintri_chordal::{is_chordal, treewidth_of_chordal};
 use mintri_graph::{Graph, Node};
 use mintri_separators::{atom_decomposition, AtomDecomposition};
-use mintri_sgr::{EnumMisStats, PrintMode};
-use mintri_telemetry::Counter;
-use mintri_telemetry::SpanHandle;
-use mintri_triangulate::{Triangulation, Triangulator};
+use mintri_sgr::EnumMisStats;
+use mintri_triangulate::Triangulation;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// One non-trivial (non-chordal) atom of a [`Plan`]: the induced
 /// subgraph renumbered to `0..k`, plus the `new -> old` node map back
@@ -118,69 +113,13 @@ impl Plan {
         self.atoms.len() == 1 && self.atoms[0].graph.num_nodes() == self.nodes
     }
 
-    /// The sequential execution of this plan: one in-thread `EnumMIS`
-    /// stream per atom, composed. This is what
-    /// [`Query::run_local`](crate::query::Query::run_local) runs for a
-    /// non-trivial plan.
-    pub fn into_sequential_stream(
-        self,
-        g: &Graph,
-        triangulator: Box<dyn Triangulator>,
-        mode: PrintMode,
-    ) -> ComposedStream<'static> {
-        self.into_traced_sequential_stream(g, triangulator, mode, None)
-    }
-
-    /// [`Plan::into_sequential_stream`] with optional tracing: when
-    /// `parent` is given, each atom's stream is wrapped in a
-    /// [`TracedStream`] under its own `atom` child span (attributes:
-    /// `index`, `nodes`, `dispatch`), so the query's trace carries
-    /// per-atom timings. With `parent = None` this *is* the untraced
-    /// path — no wrapper, no overhead.
-    pub fn into_traced_sequential_stream(
-        self,
-        g: &Graph,
-        triangulator: Box<dyn Triangulator>,
-        mode: PrintMode,
-        parent: Option<&SpanHandle>,
-    ) -> ComposedStream<'static> {
-        let shared: Arc<dyn Triangulator> = Arc::from(triangulator);
-        let children = self
-            .atoms
-            .into_iter()
-            .enumerate()
-            .map(|(index, atom)| {
-                let nodes = atom.graph.num_nodes();
-                let ms = MsGraph::shared(Arc::new(atom.graph), Box::new(Arc::clone(&shared)));
-                let stream: Box<dyn TriangulationStream + 'static> = Box::new(SequentialAtom(
-                    MinimalTriangulationsEnumerator::from_msgraph(ms, mode),
-                ));
-                let stream: Box<dyn TriangulationStream + 'static> = match parent {
-                    Some(span) => {
-                        let span = span.child("atom");
-                        span.attr("index", index.to_string());
-                        span.attr("nodes", nodes.to_string());
-                        span.attr("dispatch", "sequential");
-                        Box::new(TracedStream::new(stream, span))
-                    }
-                    None => stream,
-                };
-                AtomStream {
-                    stream,
-                    old_of: atom.old_of,
-                }
-            })
-            .collect();
-        ComposedStream::new(g.clone(), children)
-    }
-
     /// The fixed width contribution of this plan's *chordal* atoms: the
     /// maximum treewidth over the decomposition atoms that need no
     /// stream (0 when every atom enumerates). Every maximal clique of a
     /// composed triangulation lies inside some decomposition atom, so
     /// the composed width is exactly
     /// `max(chordal_width, per-atom triangulation widths)` — the
-    /// aggregation [`RankedComposed`] ranks by.
+    /// aggregation [`RankedComposed`](crate::RankedComposed) ranks by.
     pub fn chordal_width(&self, g: &Graph) -> usize {
         self.decomposition
             .atoms
@@ -191,86 +130,6 @@ impl Plan {
             })
             .max()
             .unwrap_or(0)
-    }
-
-    /// The ranked execution of this plan: one in-thread
-    /// [`RankedStream`] per atom — each gated by its own admissible
-    /// [`cost_floor`] — composed through the [`RankedComposed`] level
-    /// odometer, which emits the composed triangulations in ascending
-    /// `measure` order without materializing the cross product. This is
-    /// what [`Query::run_local`](crate::query::Query::run_local) runs
-    /// for a ranked best-k over a non-trivial plan; the engine builds
-    /// the analogous composition over per-atom *session* streams.
-    ///
-    /// When `parent` is given, each atom's underlying stream is wrapped
-    /// in a [`TracedStream`] under an `atom` span with
-    /// `dispatch="ranked"` (its `results` attribute then counts ranked
-    /// *expansions*, the raw pulls the frontier paid for). `expansions`
-    /// counts the same pulls on an engine telemetry counter.
-    pub fn into_ranked_stream(
-        self,
-        g: &Graph,
-        triangulator: Box<dyn Triangulator>,
-        mode: PrintMode,
-        measure: CostMeasure,
-        parent: Option<&SpanHandle>,
-        expansions: Option<Arc<Counter>>,
-    ) -> RankedComposed<'static> {
-        let width_const = match measure {
-            CostMeasure::Width => self.chordal_width(g),
-            CostMeasure::Fill => 0,
-        };
-        let shared: Arc<dyn Triangulator> = Arc::from(triangulator);
-        let children = self
-            .atoms
-            .into_iter()
-            .enumerate()
-            .map(|(index, atom)| {
-                let nodes = atom.graph.num_nodes();
-                let floor = cost_floor(&atom.graph, measure);
-                let ms = MsGraph::shared(Arc::new(atom.graph), Box::new(Arc::clone(&shared)));
-                let stream: Box<dyn TriangulationStream + 'static> = Box::new(SequentialAtom(
-                    MinimalTriangulationsEnumerator::from_msgraph(ms, mode),
-                ));
-                let stream: Box<dyn TriangulationStream + 'static> = match parent {
-                    Some(span) => {
-                        let span = span.child("atom");
-                        span.attr("index", index.to_string());
-                        span.attr("nodes", nodes.to_string());
-                        span.attr("dispatch", "ranked");
-                        Box::new(TracedStream::new(stream, span))
-                    }
-                    None => stream,
-                };
-                let mut stream = RankedStream::over(stream, measure, floor);
-                if let Some(counter) = &expansions {
-                    stream = stream.with_expansion_counter(Arc::clone(counter));
-                }
-                RankedAtom {
-                    stream,
-                    old_of: atom.old_of,
-                }
-            })
-            .collect();
-        RankedComposed::new(g.clone(), measure, width_const, children)
-    }
-}
-
-/// A per-atom sequential stream (owns its subgraph through the
-/// `MsGraph`).
-struct SequentialAtom(MinimalTriangulationsEnumerator<'static>);
-
-impl TriangulationStream for SequentialAtom {
-    fn next_tri(&mut self) -> Option<Triangulation> {
-        self.0.next()
-    }
-
-    fn finished(&self) -> bool {
-        true
-    }
-
-    fn enum_stats(&self) -> Option<EnumMisStats> {
-        Some(self.0.enum_stats())
     }
 }
 
@@ -363,9 +222,9 @@ impl AtomCursor<'_> {
 
 /// The product/merge composer: combines one [`AtomStream`] per planned
 /// atom into the stream of the base graph's minimal triangulations, and
-/// is itself a [`TriangulationStream`] — the execution layers hand it to
-/// [`Response::over_stream`](crate::query::Response::over_stream)
-/// unchanged.
+/// is itself a [`TriangulationStream`] —
+/// [`dispatch::assemble`](crate::dispatch::assemble) builds the
+/// [`Response`](crate::query::Response) over it unchanged.
 ///
 /// Emission order is the lexicographic product (odometer) order: the
 /// *last* atom's stream varies fastest, each atom stream in its own

@@ -28,14 +28,15 @@
 //! assert!(outcome.completed);
 //! // Best-k rides the ranked gear by default: output-sensitive, so only
 //! // ~k of C6's Catalan(4) = 14 triangulations are ever materialized.
-//! // `Query::ranked(false)` restores the exhaustive scan (scanned = 14).
+//! // A policy with `ranked: false` restores the exhaustive scan
+//! // (scanned = 14).
 //! assert_eq!(outcome.scanned, 3);
 //! ```
 //!
-//! Execution layers implement [`TriangulationStream`] and hand it to
-//! [`Response::over_stream`]; all task logic (budgets, top-`k` selection,
-//! decomposition expansion, quality records, cancellation) lives here,
-//! once.
+//! Execution layers open [`TriangulationStream`]s and hand them to
+//! [`dispatch::assemble`], which composes them into a [`Response`]; all
+//! task logic (budgets, top-`k` selection, decomposition expansion,
+//! quality records, cancellation) lives here, once.
 
 /// The planning layer lives in [`crate::plan`]; re-exported here because
 /// a [`Plan`] is part of the query vocabulary (every executor routes a
@@ -43,7 +44,8 @@
 pub use crate::plan::{AtomStream, ComposedStream, Plan, PlannedAtom};
 use crate::ranked::TopK;
 use crate::{
-    EnumerationBudget, MinimalTriangulationsEnumerator, QualityStats, ResultRecord,
+    dispatch::{self, Executor},
+    EnumerationBudget, MinimalTriangulationsEnumerator, MsGraph, QualityStats, ResultRecord,
     TdEnumerationMode,
 };
 use mintri_chordal::CliqueForest;
@@ -148,205 +150,68 @@ pub enum Delivery {
     Deterministic,
 }
 
-/// **How** a query executes: the one typed knob consolidating what used
-/// to be four scattered `Query` fields (`threads`, `planned`, `ranked`,
-/// `delivery`).
+/// **How** a query executes: the four pinned knobs. Every executor
+/// dispatches a query the same way (see [`crate::dispatch`]): the knobs
+/// pick threads, planning, the ranked gear and the ordering contract,
+/// and nothing else in the executor changes a schedule.
 ///
-/// [`ExecPolicy::Auto`] — the default — lets the executor consult its
-/// learned per-atom cost profiles (`mintri_engine::profile`) to choose
-/// the thread split, the parallel-vs-sequential threshold and the cursor
-/// order of the product composer. [`ExecPolicy::Fixed`] pins every knob
-/// to an explicit value — bit-for-bit the pre-policy behavior, and what
-/// the deprecated builder methods ([`Query::threads`],
-/// [`Query::planned`], [`Query::ranked`], [`Query::delivery`]) construct.
-///
-/// The invariant both variants honor: a policy may change *scheduling*
-/// — thread placement, dispatch choice, cursor order — never *answers*.
-/// Under [`Delivery::Unordered`] the result **set** is identical either
-/// way; under [`Delivery::Deterministic`] the result **sequence** is
-/// bit-for-bit identical (adaptive cursor reordering is disabled there,
-/// because the composed emission order is part of the contract).
+/// The invariant: a policy may change *scheduling* — thread placement,
+/// dispatch — never *answers*. Under [`Delivery::Unordered`] the result
+/// **set** is the same at any thread count; under
+/// [`Delivery::Deterministic`] the result **sequence** is bit-for-bit
+/// the sequential one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecPolicy {
-    /// Profile-driven execution (the default). The executor picks
-    /// threads, dispatch and cursor order from its learned per-atom
-    /// statistics; with no profile yet (a cold engine, or
-    /// [`Query::run_local`]) every choice falls back to exactly the
-    /// [`ExecPolicy::fixed`] defaults.
-    Auto {
-        /// The result-ordering contract adaptive execution must honor.
-        delivery: Delivery,
-    },
-    /// Every knob pinned — today's behavior, bit for bit.
-    Fixed {
-        /// Worker threads: `0` lets the executor decide, `1` forces
-        /// sequential, `n > 1` requests a parallel run.
-        threads: usize,
-        /// Route through the planning layer (atom decomposition +
-        /// product composition).
-        planned: bool,
-        /// Route [`Task::BestK`] through the ranked gear.
-        ranked: bool,
-        /// The result-ordering contract.
-        delivery: Delivery,
-    },
+pub struct ExecPolicy {
+    /// Worker threads: `0` lets the executor decide, `1` forces
+    /// sequential, `n > 1` requests a parallel run.
+    pub threads: usize,
+    /// Route through the planning layer (atom decomposition + product
+    /// composition).
+    pub planned: bool,
+    /// Route [`Task::BestK`] through the ranked gear.
+    pub ranked: bool,
+    /// The result-ordering contract.
+    pub delivery: Delivery,
 }
 
 impl Default for ExecPolicy {
+    /// Executor-chosen thread count, planning on, ranked best-k on,
+    /// unordered delivery.
     fn default() -> Self {
-        ExecPolicy::Auto {
-            delivery: Delivery::Unordered,
-        }
-    }
-}
-
-impl ExecPolicy {
-    /// The profile-driven policy under the default (unordered) contract.
-    pub fn auto() -> Self {
-        Self::default()
-    }
-
-    /// A fully pinned policy with the historical defaults: executor-chosen
-    /// thread count, planning on, ranked best-k on, unordered delivery.
-    pub fn fixed() -> Self {
-        ExecPolicy::Fixed {
+        ExecPolicy {
             threads: 0,
             planned: true,
             ranked: true,
             delivery: Delivery::Unordered,
         }
     }
+}
 
-    /// `true` for [`ExecPolicy::Auto`].
-    pub fn is_auto(&self) -> bool {
-        matches!(self, ExecPolicy::Auto { .. })
+impl ExecPolicy {
+    /// The default policy, named for builder chains
+    /// (`ExecPolicy::fixed().with_threads(4)`).
+    pub fn fixed() -> Self {
+        Self::default()
     }
 
-    /// The policy's wire name (`"auto"` / `"fixed"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExecPolicy::Auto { .. } => "auto",
-            ExecPolicy::Fixed { .. } => "fixed",
-        }
-    }
-
-    /// The effective worker-thread request (`0` = executor decides; what
-    /// `Auto` starts from before profiles adjust the split).
-    pub fn threads(&self) -> usize {
-        match self {
-            ExecPolicy::Auto { .. } => 0,
-            ExecPolicy::Fixed { threads, .. } => *threads,
-        }
-    }
-
-    /// Whether the planning layer runs (`Auto` always plans — the plan
-    /// is what the profiles are keyed on).
-    pub fn planned(&self) -> bool {
-        match self {
-            ExecPolicy::Auto { .. } => true,
-            ExecPolicy::Fixed { planned, .. } => *planned,
-        }
-    }
-
-    /// Whether [`Task::BestK`] rides the ranked gear.
-    pub fn ranked(&self) -> bool {
-        match self {
-            ExecPolicy::Auto { .. } => true,
-            ExecPolicy::Fixed { ranked, .. } => *ranked,
-        }
-    }
-
-    /// The result-ordering contract.
-    pub fn delivery(&self) -> Delivery {
-        match self {
-            ExecPolicy::Auto { delivery } | ExecPolicy::Fixed { delivery, .. } => *delivery,
-        }
-    }
-
-    /// This policy with every knob pinned: `Auto` collapses to the
-    /// `Fixed` defaults it cold-starts from (preserving its delivery);
-    /// `Fixed` is returned unchanged.
-    pub fn pinned(self) -> Self {
-        ExecPolicy::Fixed {
-            threads: self.threads(),
-            planned: self.planned(),
-            ranked: self.ranked(),
-            delivery: self.delivery(),
-        }
-    }
-
-    /// Pins the policy and sets the thread count.
+    /// Sets the thread count.
     pub fn with_threads(self, threads: usize) -> Self {
-        match self.pinned() {
-            ExecPolicy::Fixed {
-                planned,
-                ranked,
-                delivery,
-                ..
-            } => ExecPolicy::Fixed {
-                threads,
-                planned,
-                ranked,
-                delivery,
-            },
-            auto => auto,
-        }
+        ExecPolicy { threads, ..self }
     }
 
-    /// Pins the policy and sets the planning knob.
+    /// Sets the planning knob.
     pub fn with_planned(self, planned: bool) -> Self {
-        match self.pinned() {
-            ExecPolicy::Fixed {
-                threads,
-                ranked,
-                delivery,
-                ..
-            } => ExecPolicy::Fixed {
-                threads,
-                planned,
-                ranked,
-                delivery,
-            },
-            auto => auto,
-        }
+        ExecPolicy { planned, ..self }
     }
 
-    /// Pins the policy and sets the ranked knob.
+    /// Sets the ranked knob.
     pub fn with_ranked(self, ranked: bool) -> Self {
-        match self.pinned() {
-            ExecPolicy::Fixed {
-                threads,
-                planned,
-                delivery,
-                ..
-            } => ExecPolicy::Fixed {
-                threads,
-                planned,
-                ranked,
-                delivery,
-            },
-            auto => auto,
-        }
+        ExecPolicy { ranked, ..self }
     }
 
-    /// Sets the delivery contract, preserving the variant (an `Auto`
-    /// policy stays adaptive — the contract is input to its choices, not
-    /// one of them).
+    /// Sets the delivery contract.
     pub fn with_delivery(self, delivery: Delivery) -> Self {
-        match self {
-            ExecPolicy::Auto { .. } => ExecPolicy::Auto { delivery },
-            ExecPolicy::Fixed {
-                threads,
-                planned,
-                ranked,
-                ..
-            } => ExecPolicy::Fixed {
-                threads,
-                planned,
-                ranked,
-                delivery,
-            },
-        }
+        ExecPolicy { delivery, ..self }
     }
 }
 
@@ -385,8 +250,8 @@ impl DispatchKind {
 /// The per-atom dispatch record of one executed query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AtomDispatch {
-    /// The atom's index in the executed (possibly reordered) cursor
-    /// order; `0` for an unplanned whole-graph run.
+    /// The atom's index in the plan (its cursor position in the
+    /// composed odometer); `0` for an unplanned whole-graph run.
     pub index: usize,
     /// Nodes in the atom's subgraph.
     pub nodes: usize,
@@ -592,8 +457,8 @@ impl QueryOutcome {
     }
 }
 
-/// A stream of minimal triangulations an executor hands to
-/// [`Response::over_stream`] — the single integration point between the
+/// A stream of minimal triangulations an executor opens for
+/// [`dispatch::assemble`] — the single integration point between the
 /// query layer and any execution backend (sequential iterator, warm
 /// engine sessions, parallel drivers, replayed caches, remote
 /// transports).
@@ -625,13 +490,13 @@ pub trait TriangulationStream {
 /// dropped. The span stays open from stream setup to exhaustion, so its
 /// duration is the full drain wall time.
 ///
-/// Execution layers wrap each per-atom stream in one of these when the
-/// query is traced — untraced queries never construct one, so the hot
+/// [`dispatch::assemble`] wraps each per-atom stream in one of these
+/// when the query is traced — untraced queries never construct one, so the hot
 /// path pays nothing. Deliberately, only the first pull reads the
 /// clock: per-item `Instant::now()` calls cost more than producing a
 /// result on small atoms and would bust the tracing-overhead gate
 /// (`bench_check --telemetry`); every later pull is one counter bump.
-pub struct TracedStream<'a> {
+pub(crate) struct TracedStream<'a> {
     inner: Box<dyn TriangulationStream + 'a>,
     span: SpanHandle,
     produced: u64,
@@ -642,7 +507,7 @@ pub struct TracedStream<'a> {
 impl<'a> TracedStream<'a> {
     /// Wraps `inner`, charging its work to `span` (opened by the caller,
     /// typically an `atom` child of the query span).
-    pub fn new(inner: Box<dyn TriangulationStream + 'a>, span: SpanHandle) -> Self {
+    pub(crate) fn new(inner: Box<dyn TriangulationStream + 'a>, span: SpanHandle) -> Self {
         TracedStream {
             inner,
             span,
@@ -707,10 +572,11 @@ impl Drop for TracedStream<'_> {
     }
 }
 
-/// The zero-setup sequential stream behind [`Query::run_local`].
-struct SequentialStream<'g>(MinimalTriangulationsEnumerator<'g>);
+/// The zero-setup sequential stream behind [`Query::run_local`]: one
+/// in-thread `EnumMIS` run over an `MsGraph` that owns its graph.
+struct SequentialStream(MinimalTriangulationsEnumerator<'static>);
 
-impl TriangulationStream for SequentialStream<'_> {
+impl TriangulationStream for SequentialStream {
     fn next_tri(&mut self) -> Option<Triangulation> {
         self.0.next()
     }
@@ -751,13 +617,8 @@ pub struct Query {
     /// [`Task::Enumerate`] and [`Task::Decompose`] it bounds the emitted
     /// results.
     pub budget: EnumerationBudget,
-    /// **How** to execute (default [`ExecPolicy::Auto`]): the one typed
-    /// knob covering what used to be the `threads` / `plan` / `ranked` /
-    /// `delivery` fields. [`ExecPolicy::Fixed`] pins them all —
-    /// bit-for-bit the historical behavior; `Auto` lets a profiled
-    /// executor choose the thread split, dispatch threshold and cursor
-    /// order (never the answers). The deprecated builder methods remain
-    /// as thin adapters that pin the policy.
+    /// **How** to execute (default [`ExecPolicy::default`]): threads,
+    /// planning, the ranked gear and the delivery contract.
     pub policy: ExecPolicy,
     /// Collect a per-query span trace (default `false`): plan
     /// decomposition, per-atom stream setup, dispatch choice,
@@ -828,53 +689,6 @@ impl Query {
         self
     }
 
-    /// Sets the delivery contract. **Deprecated adapter**: pins the
-    /// policy to [`ExecPolicy::Fixed`] with this delivery — bit-for-bit
-    /// the pre-policy behavior of the old `delivery` field.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use Query::policy(ExecPolicy::fixed().with_delivery(…)) — or keep Auto and set \
-                the contract with ExecPolicy::auto().with_delivery(…)"
-    )]
-    pub fn delivery(mut self, delivery: Delivery) -> Self {
-        self.policy = self.policy.pinned().with_delivery(delivery);
-        self
-    }
-
-    /// Sets the worker-thread request. **Deprecated adapter**: pins the
-    /// policy to [`ExecPolicy::Fixed`] with this thread count.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use Query::policy(ExecPolicy::fixed().with_threads(…))"
-    )]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.policy = self.policy.with_threads(threads);
-        self
-    }
-
-    /// Enables or disables the planning layer. **Deprecated adapter**:
-    /// pins the policy to [`ExecPolicy::Fixed`] with this knob.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use Query::policy(ExecPolicy::fixed().with_planned(…))"
-    )]
-    pub fn planned(mut self, plan: bool) -> Self {
-        self.policy = self.policy.with_planned(plan);
-        self
-    }
-
-    /// Enables or disables the ranked best-k gear. **Deprecated
-    /// adapter**: pins the policy to [`ExecPolicy::Fixed`] with this
-    /// knob.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use Query::policy(ExecPolicy::fixed().with_ranked(…))"
-    )]
-    pub fn ranked(mut self, ranked: bool) -> Self {
-        self.policy = self.policy.with_ranked(ranked);
-        self
-    }
-
     /// Enables or disables span tracing (see [`Query::trace`]).
     pub fn traced(mut self, trace: bool) -> Self {
         self.trace = trace;
@@ -894,130 +708,34 @@ impl Query {
     /// repeated or parallel traffic, hand the query to
     /// `mintri_engine::Engine::run` instead.
     ///
-    /// Unless the policy's planning knob is off, the graph is first decomposed into
-    /// atoms ([`Plan`]): each non-trivial atom enumerates on its own
-    /// (much smaller) subgraph and the composed product streams out.
-    /// Output order is the plan's odometer order — deterministic, and
-    /// identical to what an engine produces for the same query under
-    /// [`Delivery::Deterministic`] at any thread count.
+    /// Unless the policy's planning knob is off, the graph is first
+    /// decomposed into atoms ([`Plan`]): each non-trivial atom enumerates
+    /// on its own (much smaller) subgraph and the composed product
+    /// streams out. Output order is the plan's odometer order —
+    /// deterministic, and identical to what an engine produces for the
+    /// same query under [`Delivery::Deterministic`] at any thread count:
+    /// both executors run [`dispatch::assemble`], and differ only in how
+    /// they open a stream (here: a fresh `MsGraph` per stream).
     pub fn run_local(self, g: &Graph) -> Response<'_> {
-        let Query {
-            task,
-            triangulator,
-            mode,
-            budget,
-            cancel,
-            policy,
-            trace,
-            ..
-        } = self;
-        let plan = policy.planned();
-        // Best-k rides the ranked gear unless the escape hatch is pulled.
-        let ranked = policy.ranked() && matches!(task, Task::BestK { .. });
-        let ranked_measure = match task {
-            Task::BestK { cost, .. } if ranked => Some(cost),
-            _ => None,
-        };
-        let tracer = trace.then(TraceBuilder::new);
-        let query_span = tracer.as_ref().map(|t| {
-            let span = t.root_span("query");
-            span.attr("task", task.name());
-            span.attr("dispatch", "local");
-            span
-        });
-        if plan {
-            let plan_span = query_span.as_ref().map(|q| q.child("plan"));
-            let plan = Plan::of(g);
-            if let Some(span) = &plan_span {
-                span.attr("atoms", plan.atoms.len().to_string());
-                span.attr("unreduced", plan.is_unreduced().to_string());
-                span.finish();
-            }
-            if !plan.is_unreduced() {
-                // One entry per planned atom: always sequential here;
-                // the ranked gear re-labels the live streams it drives.
-                let dispatch: Vec<AtomDispatch> = plan
-                    .atoms
-                    .iter()
-                    .enumerate()
-                    .map(|(index, atom)| AtomDispatch {
-                        index,
-                        nodes: atom.graph.num_nodes(),
-                        threads: 1,
-                        kind: if ranked {
-                            DispatchKind::Ranked
-                        } else {
-                            DispatchKind::Sequential
-                        },
-                    })
-                    .collect();
-                let response = match ranked_measure {
-                    Some(measure) => {
-                        let stream = plan.into_ranked_stream(
-                            g,
-                            triangulator,
-                            mode,
-                            measure,
-                            query_span.as_ref(),
-                            None,
-                        );
-                        Response::over_ranked_stream(task, budget, cancel, Box::new(stream))
-                    }
-                    None => {
-                        let stream = plan.into_traced_sequential_stream(
-                            g,
-                            triangulator,
-                            mode,
-                            query_span.as_ref(),
-                        );
-                        Response::over_stream(task, budget, cancel, Box::new(stream))
-                    }
-                }
-                .with_dispatch(dispatch);
-                return match (tracer, query_span) {
-                    (Some(t), Some(s)) => response.with_trace(t, s),
-                    _ => response,
-                };
-            }
-        }
-        let stream = SequentialStream(MinimalTriangulationsEnumerator::with_config(
-            g,
-            triangulator,
-            mode,
-        ));
-        let stream: Box<dyn TriangulationStream + '_> = match query_span.as_ref() {
-            Some(q) => {
-                let span = q.child("atom");
-                span.attr("index", "0");
-                span.attr("nodes", g.num_nodes().to_string());
-                span.attr("dispatch", if ranked { "ranked" } else { "sequential" });
-                Box::new(TracedStream::new(Box::new(stream), span))
-            }
-            None => Box::new(stream),
-        };
-        let dispatch = vec![AtomDispatch {
-            index: 0,
-            nodes: g.num_nodes(),
+        let executor = Executor {
+            name: "local",
             threads: 1,
-            kind: if ranked {
-                DispatchKind::Ranked
-            } else {
-                DispatchKind::Sequential
+            ranked_metrics: None,
+        };
+        dispatch::assemble(
+            g,
+            self,
+            executor,
+            |g| Arc::new(Plan::of(g)),
+            |req| {
+                let ms = MsGraph::shared(
+                    Arc::new(req.graph.clone()),
+                    Box::new(Arc::clone(req.triangulator)),
+                );
+                let stream = MinimalTriangulationsEnumerator::from_msgraph(ms, req.mode);
+                (Box::new(SequentialStream(stream)), None)
             },
-        }];
-        let response = match ranked_measure {
-            Some(measure) => {
-                let floor = crate::ranked::cost_floor(g, measure);
-                let stream = crate::ranked::RankedStream::over(stream, measure, floor);
-                Response::over_ranked_stream(task, budget, cancel, Box::new(stream))
-            }
-            None => Response::over_stream(task, budget, cancel, stream),
-        }
-        .with_dispatch(dispatch);
-        match (tracer, query_span) {
-            (Some(t), Some(s)) => response.with_trace(t, s),
-            _ => response,
-        }
+        )
     }
 }
 
@@ -1082,10 +800,10 @@ pub struct Response<'a> {
 
 impl<'a> Response<'a> {
     /// Builds a response executing `task` over an arbitrary
-    /// [`TriangulationStream`] — the constructor execution layers (the
-    /// engine, future transports) use. All task logic runs here; the
-    /// stream only produces triangulations.
-    pub fn over_stream(
+    /// [`TriangulationStream`] — the constructor [`dispatch::assemble`]
+    /// uses for every executor. All task logic runs here; the stream
+    /// only produces triangulations.
+    pub(crate) fn over_stream(
         task: Task,
         budget: EnumerationBudget,
         cancel: CancelToken,
@@ -1124,7 +842,7 @@ impl<'a> Response<'a> {
     /// after ~`k` pulls ([`QueryOutcome::completed`] is set once `k`
     /// winners are out), the budget bounds the emissions (`scanned` =
     /// emitted), and a cancel still yields the already-proven prefix.
-    pub fn over_ranked_stream(
+    pub(crate) fn over_ranked_stream(
         task: Task,
         budget: EnumerationBudget,
         cancel: CancelToken,
@@ -1140,9 +858,9 @@ impl<'a> Response<'a> {
     /// opens immediately (its duration is the delay to the first pulled
     /// result), a `drain` child covers first result → end of stream, and
     /// the query span is stamped with the final `produced`/`scanned`
-    /// counts when the stream ends. Executors call this right after
-    /// [`Response::over_stream`] on traced queries.
-    pub fn with_trace(mut self, trace: TraceBuilder, query_span: SpanHandle) -> Self {
+    /// counts when the stream ends. [`dispatch::assemble`] calls this
+    /// right after [`Response::over_stream`] on traced queries.
+    pub(crate) fn with_trace(mut self, trace: TraceBuilder, query_span: SpanHandle) -> Self {
         self.first_span = Some(query_span.child("first_result"));
         self.trace = Some(trace);
         self.query_span = Some(query_span);
@@ -1150,10 +868,10 @@ impl<'a> Response<'a> {
     }
 
     /// Attaches the executor's per-atom dispatch record, surfaced as
-    /// [`QueryOutcome::dispatch`]. Executors call this right after
-    /// constructing the response — every query reports its actual
-    /// dispatch, traced or not.
-    pub fn with_dispatch(mut self, dispatch: Vec<AtomDispatch>) -> Self {
+    /// [`QueryOutcome::dispatch`]. [`dispatch::assemble`] calls this
+    /// right after constructing the response — every query reports its
+    /// actual dispatch, traced or not.
+    pub(crate) fn with_dispatch(mut self, dispatch: Vec<AtomDispatch>) -> Self {
         self.dispatch = dispatch;
         self
     }
@@ -1668,65 +1386,29 @@ mod tests {
         let dbg = format!("{q:?}");
         assert!(dbg.contains("Enumerate"));
         assert!(dbg.contains("MCS_M"), "{dbg}");
-        assert!(dbg.contains("Auto"), "default policy is Auto: {dbg}");
+        assert!(dbg.contains("ExecPolicy"), "{dbg}");
     }
 
     #[test]
     fn exec_policy_defaults_and_knobs() {
-        let auto = ExecPolicy::default();
-        assert!(auto.is_auto());
-        assert_eq!(auto.name(), "auto");
-        assert_eq!(auto.delivery(), Delivery::Unordered);
-        // Auto's cold-start knobs are exactly the Fixed defaults.
-        assert_eq!(auto.pinned(), ExecPolicy::fixed());
-        // with_delivery preserves the variant; the pinning setters don't.
-        assert!(auto.with_delivery(Delivery::Deterministic).is_auto());
-        let pinned = auto.with_threads(4);
+        let policy = ExecPolicy::default();
+        assert_eq!(policy, ExecPolicy::fixed());
         assert_eq!(
-            pinned,
-            ExecPolicy::Fixed {
-                threads: 4,
+            policy,
+            ExecPolicy {
+                threads: 0,
                 planned: true,
                 ranked: true,
                 delivery: Delivery::Unordered,
             }
         );
-        assert_eq!(pinned.with_ranked(false).threads(), 4);
-        assert!(!pinned.with_planned(false).planned());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_builders_pin_an_equivalent_fixed_policy() {
-        // The old builder chain must still compile and produce exactly
-        // the knobs it used to set on the flat fields.
-        let q = Query::enumerate()
-            .threads(3)
-            .planned(false)
-            .ranked(false)
-            .delivery(Delivery::Deterministic);
+        let pinned = policy.with_threads(4).with_ranked(false);
+        assert_eq!((pinned.threads, pinned.ranked), (4, false));
+        assert!(!pinned.with_planned(false).planned);
         assert_eq!(
-            q.policy,
-            ExecPolicy::Fixed {
-                threads: 3,
-                planned: false,
-                ranked: false,
-                delivery: Delivery::Deterministic,
-            }
+            pinned.with_delivery(Delivery::Deterministic).delivery,
+            Delivery::Deterministic
         );
-        // …and the results are unchanged: same enumeration either way.
-        let g = Graph::cycle(6);
-        let via_old = Query::enumerate()
-            .planned(false)
-            .run_local(&g)
-            .triangulations()
-            .len();
-        let via_new = Query::enumerate()
-            .policy(ExecPolicy::fixed().with_planned(false))
-            .run_local(&g)
-            .triangulations()
-            .len();
-        assert_eq!(via_old, via_new);
     }
 
     #[test]

@@ -45,18 +45,15 @@ fn budget_strategy() -> impl Strategy<Value = EnumerationBudget> {
 }
 
 fn policy_strategy() -> impl Strategy<Value = ExecPolicy> {
-    let delivery = || prop_oneof![Just(Delivery::Unordered), Just(Delivery::Deterministic)];
-    prop_oneof![
-        delivery().prop_map(|delivery| ExecPolicy::Auto { delivery }),
-        (delivery(), 0usize..16, any::<bool>(), any::<bool>()).prop_map(
-            |(delivery, threads, planned, ranked)| ExecPolicy::Fixed {
-                threads,
-                planned,
-                ranked,
-                delivery,
-            }
-        ),
-    ]
+    let delivery = prop_oneof![Just(Delivery::Unordered), Just(Delivery::Deterministic)];
+    (delivery, 0usize..16, any::<bool>(), any::<bool>()).prop_map(
+        |(delivery, threads, planned, ranked)| ExecPolicy {
+            threads,
+            planned,
+            ranked,
+            delivery,
+        },
+    )
 }
 
 fn query_strategy() -> impl Strategy<Value = Query> {

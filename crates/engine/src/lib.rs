@@ -31,15 +31,15 @@
 //!
 //! [`Engine::run`] is the serving entry point: it takes a typed
 //! [`Query`] (what to compute — enumerate / best-k / decompose / stats —
-//! plus backend, budget and an `ExecPolicy` saying how to execute:
-//! `Auto`, the default, lets the engine's learned per-atom cost
-//! profiles ([`profile`]) steer dispatch; `Fixed` pins threads,
-//! planning, ranking and delivery by hand) and answers with a
-//! [`Response`] (the blocking result stream plus `cancel()`,
-//! `outcome()` — including the per-atom dispatch actually taken — and
-//! `is_replay()`). Planning, sessions, completed-answer replay and the
-//! parallel drivers are dispatch details behind it; the zero-setup
-//! sequential path is `Query::run_local`, no engine required.
+//! plus backend, budget and an `ExecPolicy` pinning threads, planning,
+//! ranking and delivery) and answers with a [`Response`] (the blocking
+//! result stream plus `cancel()`, `outcome()` — including the per-atom
+//! dispatch actually taken — and `is_replay()`). It runs the same
+//! dispatch path as the zero-setup sequential `Query::run_local`
+//! (`mintri_core::dispatch`); sessions, completed-answer replay and the
+//! parallel drivers only decide where each stream comes from. The
+//! learned per-atom cost profiles ([`profile`]) are observability: they
+//! never steer dispatch.
 //!
 //! ```
 //! use mintri_engine::{Engine, Query};
@@ -68,7 +68,7 @@ mod pool;
 #[cfg(feature = "parallel")]
 mod sched;
 
-pub use profile::{Prediction, ProfileView, Profiler};
+pub use profile::{ProfileView, Profiler};
 pub use session::{graph_fingerprint, Engine, GraphSession};
 pub use telemetry::EngineTelemetry;
 

@@ -1,24 +1,21 @@
-//! Learned per-atom cost profiles — the statistics layer behind
-//! `ExecPolicy::Auto`.
+//! Learned per-atom cost profiles — an observability surface.
 //!
 //! Every stream the engine serves deposits one observation here, keyed
 //! the same way sessions are: `(atom fingerprint, backend)`. Completed
 //! live enumerations feed t-digest latency distributions (first-result
 //! delay, mean inter-result gap) plus exact totals (results, `Extend`
-//! calls, wall time); replays and hydrations bump hit counters. The
-//! dispatch layer reads the profile back as a [`Prediction`] to choose
-//! the pool atom, the cursor order, and the parallel-vs-sequential
-//! threshold.
+//! calls, wall time); replays and hydrations bump hit counters. Two
+//! readers: operators (`/v1/stats`, `/v1/metrics`, store snapshots) and
+//! the server's default timeout, which arms a deadline for graphs whose
+//! [`Profiler::predict`]ed wall is known to be slow.
 //!
-//! **The invariant:** a profile steers *scheduling only*. Every
-//! consumer must produce the same answer set (and, under a
-//! deterministic contract, the same order) whether the profile is cold,
-//! warm, stale, or wrong. That is why profiles carry no graph-equality
+//! **The invariant:** a profile never changes an answer — dispatch does
+//! not read it at all. That is why profiles carry no graph-equality
 //! proof and why a corrupt or missing snapshot is only ever a cold
 //! start.
 //!
 //! Profiles persist as [`ProfileSnapshot`] entries (kind 4) in the
-//! `mintri-store` tier, so a restarted process schedules warm.
+//! `mintri-store` tier, so a restarted process keeps its history.
 
 use mintri_store::{DigestSnapshot, ProfileSnapshot, Store};
 use mintri_telemetry::{Counter, Gauge};
@@ -42,7 +39,7 @@ struct Centroid {
 /// A small merging t-digest: observations buffer up and periodically
 /// merge into a bounded centroid list, tight at the tails (the
 /// `q(1-q)` size bound), so `p50`/`p99` stay accurate at a fixed
-/// memory cost. Good enough for scheduling; not for billing.
+/// memory cost. Good enough for operators; not for billing.
 #[derive(Debug, Clone, Default)]
 pub struct TDigest {
     centroids: Vec<Centroid>,
@@ -171,7 +168,7 @@ impl TDigest {
     }
 
     /// Rebuilds from a store image, dropping non-finite or zero-weight
-    /// centroids (a hostile snapshot can mis-schedule, never crash).
+    /// centroids (a hostile snapshot can mis-report, never crash).
     pub fn from_snapshot(snap: &DigestSnapshot) -> TDigest {
         let centroids: Vec<Centroid> = snap
             .centroids
@@ -304,7 +301,7 @@ pub struct RunRecord {
     pub kind: RunKind,
     /// Whether the enumeration ran to completion (budgeted/cancelled
     /// runs never update the digests — a truncated wall would teach the
-    /// scheduler that hard atoms are cheap).
+    /// profile that hard atoms are cheap).
     pub completed: bool,
     /// Results the stream emitted.
     pub results: u64,
@@ -314,16 +311,6 @@ pub struct RunRecord {
     pub wall_us: u64,
     /// `Extend` calls attributable to this run.
     pub extends: u64,
-}
-
-/// What the dispatcher reads back: the profile compressed to the two
-/// numbers scheduling runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Prediction {
-    /// Expected wall µs for a full live enumeration of this atom.
-    pub wall_us: u64,
-    /// Expected result count.
-    pub results: u64,
 }
 
 /// A read-only row for `/v1/stats` — everything rendered under the
@@ -491,23 +478,19 @@ impl Profiler {
         }
     }
 
-    /// The scheduling read: expected wall and result count for a live
-    /// enumeration of `(fingerprint, backend)`. `None` until at least
-    /// one completed live run has been observed (here or persisted by a
-    /// previous process — the disk tier is probed on first miss).
+    /// The expected wall (µs) of a full live enumeration of
+    /// `(fingerprint, backend)`. `None` until at least one completed live
+    /// run has been observed (here or persisted by a previous process —
+    /// the disk tier is probed on first miss).
     pub fn predict(
         &self,
         fingerprint: u64,
         backend: &'static str,
         store: Option<&Store>,
-    ) -> Option<Prediction> {
+    ) -> Option<u64> {
         let mut map = self.inner.lock().unwrap();
         let slot = Self::warm_slot(&mut map, &self.instruments, fingerprint, backend, store);
-        let wall_us = slot.profile.predicted_wall_us()?;
-        Some(Prediction {
-            wall_us,
-            results: slot.profile.predicted_results().unwrap_or(0),
-        })
+        slot.profile.predicted_wall_us()
     }
 
     /// Every profile held in RAM, sorted by predicted wall descending
@@ -628,9 +611,8 @@ mod tests {
         );
         profiler.record_run(7, "mcs-m", 6, live(10, 100, 1_100, 55), None);
         profiler.record_run(7, "mcs-m", 6, live(10, 120, 900, 45), None);
-        let p = profiler.predict(7, "mcs-m", None).unwrap();
-        assert_eq!(p.wall_us, 1_000);
-        assert_eq!(p.results, 10);
+        assert_eq!(profiler.predict(7, "mcs-m", None), Some(1_000));
+        assert_eq!(profiler.views()[0].predicted_results, 10);
         // A different backend is a different profile.
         assert!(profiler.predict(7, "lex-m", None).is_none());
     }
@@ -693,9 +675,8 @@ mod tests {
         }
         // A fresh profiler (fresh process) predicts from disk.
         let profiler = Profiler::new();
-        let p = profiler.predict(42, "mcs-m", Some(&store)).unwrap();
-        assert_eq!(p.wall_us, 2_200);
-        assert_eq!(p.results, 20);
+        assert_eq!(profiler.predict(42, "mcs-m", Some(&store)), Some(2_200));
+        assert_eq!(profiler.views()[0].predicted_results, 20);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

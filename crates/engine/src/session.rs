@@ -18,20 +18,18 @@
 //! — including queries on *different* graphs sharing an atom — is a
 //! cache replay (or at worst a warm-memo rerun).
 
-use crate::profile::{Prediction, ProfileView, Profiler, ProfilerInstruments, RunKind, RunRecord};
+use crate::profile::{ProfileView, Profiler, ProfilerInstruments, RunKind, RunRecord};
 use crate::telemetry::EngineTelemetry;
 use crate::EngineConfig;
+use mintri_core::dispatch::{self, Executor, RankedMetrics};
 use mintri_core::query::{
-    AtomDispatch, AtomStream, CancelToken, ComposedStream, CostMeasure, Delivery, DispatchKind,
-    Plan, Query, Response, Task, TracedStream, TriangulationStream,
+    CancelToken, Delivery, DispatchKind, Plan, Query, Response, TriangulationStream,
 };
-use mintri_core::{
-    cost_floor, MsGraph, MsGraphStats, RankedAtom, RankedComposed, RankedStream, SepId,
-};
+use mintri_core::{MsGraph, MsGraphStats, SepId};
 use mintri_graph::{FxHashMap, FxHasher, Graph, NodeSet};
 use mintri_sgr::{EnumMis, EnumMisStats, PrintMode};
 use mintri_store::{AnswerSnapshot, MemoSummary, PlanSnapshot, Store, StoredOrder};
-use mintri_telemetry::{Counter, Histogram, Registry, TraceBuilder};
+use mintri_telemetry::{Counter, Histogram, Registry};
 use mintri_triangulate::{McsM, Triangulation, Triangulator};
 use std::hash::Hasher;
 use std::sync::{Arc, Mutex};
@@ -40,12 +38,6 @@ use std::time::Instant;
 /// Cached plans colliding under one fingerprint (equality-verified on
 /// lookup, like sessions).
 type PlanBucket = Vec<(Graph, Arc<Plan>)>;
-
-/// Below this predicted live wall (µs), `ExecPolicy::Auto` demotes the
-/// dispatch to sequential: spinning the pool up costs more than it buys
-/// on sub-millisecond enumerations. Scheduling only — the answer set is
-/// identical either way.
-const AUTO_SEQUENTIAL_WALL_US: u64 = 2_000;
 
 /// Structural fingerprint of a graph: node count plus the canonical edge
 /// list, hashed. Sessions verify true equality on lookup, so a collision
@@ -291,7 +283,7 @@ struct ProfileCapture {
     first_us: Option<u64>,
     /// The session's cumulative `Extend` counter at stream creation;
     /// the drop-time delta is this run's attribution (approximate under
-    /// concurrent streams on one session — fine for scheduling).
+    /// concurrent streams on one session — fine for observability).
     extends_start: u64,
     completed: bool,
 }
@@ -478,9 +470,10 @@ pub struct Engine {
     store: Option<Arc<Store>>,
     /// Registered metric handles (and the registry they live in).
     telemetry: EngineTelemetry,
-    /// The learned per-atom cost profiles driving `ExecPolicy::Auto`
-    /// dispatch. Engine-lived (profiles outlive session eviction) and
-    /// persisted through `store` when one is attached.
+    /// The learned per-atom cost profiles (observability and the
+    /// server's default timeout; dispatch never reads them).
+    /// Engine-lived (profiles outlive session eviction) and persisted
+    /// through `store` when one is attached.
     profiler: Arc<Profiler>,
 }
 
@@ -613,8 +606,7 @@ impl Engine {
         &self.config
     }
 
-    /// The learned cost-profile table. Mostly for inspection; the
-    /// engine consults it itself on every `ExecPolicy::Auto` dispatch.
+    /// The learned cost-profile table, for inspection.
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
     }
@@ -635,19 +627,16 @@ impl Engine {
         let plan = self.plan_for(g);
         let store = self.store.as_deref();
         if plan.is_unreduced() {
-            return self
-                .profiler
-                .predict(graph_fingerprint(g), backend, store)
-                .map(|p| p.wall_us);
+            return self.profiler.predict(graph_fingerprint(g), backend, store);
         }
         let mut total = 0u64;
         let mut known = false;
         for atom in &plan.atoms {
-            if let Some(p) = self
-                .profiler
-                .predict(graph_fingerprint(&atom.graph), backend, store)
+            if let Some(wall_us) =
+                self.profiler
+                    .predict(graph_fingerprint(&atom.graph), backend, store)
             {
-                total = total.saturating_add(p.wall_us);
+                total = total.saturating_add(wall_us);
                 known = true;
             }
         }
@@ -825,361 +814,66 @@ impl Engine {
     /// the warm sessions for `g`'s plan and returns the unified
     /// [`Response`] stream.
     ///
-    /// Unless the query disables planning, `g` is first decomposed into
-    /// clique-minimal-separator atoms
-    /// ([`Plan`](mintri_core::query::Plan)); **sessions are keyed per
-    /// atom subgraph** (fingerprint + backend), one replay-aware stream
-    /// runs per non-trivial atom, and the product composer recombines
-    /// them. Two queries on *different* graphs that share an atom
-    /// therefore share that atom's warm memo and recorded answers — the
-    /// cross-query reuse whole-graph keying cannot express. A plan that
-    /// reduces nothing (one atom spanning the graph) falls back to the
-    /// whole-graph session below.
+    /// The query runs the one dispatch path both executors share
+    /// ([`dispatch::assemble`]); the engine only decides where each
+    /// stream comes from. Unless the query disables planning, `g` is
+    /// first decomposed into clique-minimal-separator atoms
+    /// ([`Plan`](mintri_core::query::Plan), memoized per graph);
+    /// **sessions are keyed per atom subgraph** (fingerprint + backend),
+    /// one replay-aware stream runs per non-trivial atom, and the product
+    /// composer recombines them. Two queries on *different* graphs that
+    /// share an atom therefore share that atom's warm memo and recorded
+    /// answers. A plan that reduces nothing (one atom spanning the graph)
+    /// runs on the whole-graph session.
     ///
-    /// Per-atom (and whole-graph) dispatch, in order:
+    /// The last atom takes the query's thread budget (`policy.threads`,
+    /// or this engine's configured parallelism when `0`); the others run
+    /// sequentially. Each stream is then served, in order:
     ///
     /// 1. **Replay** — if a completed answer list compatible with the
     ///    query's [`Delivery`] contract and [`PrintMode`] is cached, it
     ///    is served with zero `Extend` calls ([`Response::is_replay`]),
     ///    for every task: ranked and decomposition queries replay just
     ///    like plain enumerations.
-    /// 2. **Parallel** — otherwise, when the effective thread count
-    ///    (`query.threads`, or this engine's configured parallelism when
-    ///    `0`) exceeds one and the `parallel` feature is compiled in,
-    ///    the query runs on the work-stealing pool under the requested
-    ///    delivery contract. The query's `CancelToken` aborts the
-    ///    workers mid-stream (all atoms at once).
-    /// 3. **Sequential** — else the plain `EnumMIS` iterator runs over
+    /// 2. **Hydrate** — else, with a store attached, a recorded list on
+    ///    disk is re-interned and replayed.
+    /// 3. **Parallel** — else, when the stream was granted more than one
+    ///    thread and the `parallel` feature is compiled in, it runs on
+    ///    the work-stealing pool under the requested delivery contract.
+    ///    The query's `CancelToken` aborts the workers mid-stream.
+    /// 4. **Sequential** — else the plain `EnumMIS` iterator runs over
     ///    the session's warm memo.
     ///
     /// A live run that drains to natural completion deposits its answer
     /// list back into its session, so the *next* query touching that
     /// atom — of any task shape, over any containing graph — replays.
     pub fn run(&self, g: &Graph, query: Query) -> Response<'static> {
-        let Query {
-            task,
-            triangulator,
-            mode,
-            budget,
-            policy,
-            trace,
-            cancel,
-        } = query;
-        // The one typed execution decision: `Auto` consults the learned
-        // cost profiles below; `Fixed` reproduces the pinned knobs bit
-        // for bit. Either way the knobs are read through the policy.
-        let auto = policy.is_auto();
-        let delivery = policy.delivery();
-        let threads = policy.threads();
-        let planned = policy.planned();
-        let backend = triangulator.name();
-        // Best-k rides the ranked gear unless the escape hatch is pulled.
-        // Ranked composition needs deterministic per-atom production
-        // indices for its tie order, so the per-atom streams are forced
-        // onto the deterministic contract (an `Ordered` replay cache
-        // still serves them — lazily, never drained past the frontier).
-        let ranked_measure = match task {
-            Task::BestK { cost, .. } if policy.ranked() => Some(cost),
-            _ => None,
+        let t = &self.telemetry;
+        let executor = Executor {
+            name: "engine",
+            threads: match query.policy.threads {
+                0 => self.config.resolved_threads(),
+                n => n,
+            },
+            ranked_metrics: Some(RankedMetrics {
+                queries: Arc::clone(&t.ranked_queries),
+                expansions: Arc::clone(&t.ranked_expansions),
+                first_result_us: Arc::clone(&t.ranked_first_result_us),
+            }),
         };
-        if ranked_measure.is_some() {
-            self.telemetry.ranked_queries.inc();
-        }
-        let tracer = trace.then(TraceBuilder::new);
-        let query_span = tracer.as_ref().map(|t| {
-            let span = t.root_span("query");
-            span.attr("task", task.name());
-            span.attr("dispatch", "engine");
-            span
-        });
-        let effective_threads = match threads {
-            0 => self.config.resolved_threads(),
-            n => n,
-        };
-        if planned {
-            let plan_span = query_span.as_ref().map(|q| q.child("plan"));
-            let plan = self.plan_for(g);
-            if let Some(span) = &plan_span {
-                span.attr("atoms", plan.atoms.len().to_string());
-                span.attr("unreduced", plan.is_unreduced().to_string());
-                span.finish();
-            }
-            if !plan.is_unreduced() {
-                let shared: Arc<dyn Triangulator> = Arc::from(triangulator);
-                let last = plan.atoms.len().saturating_sub(1);
-                // Profile-driven scheduling, `Auto` only. On a cold
-                // profile every prediction is `None` and each decision
-                // below collapses to today's `Fixed` behavior.
-                let predictions: Vec<Option<Prediction>> = if auto {
-                    plan.atoms
-                        .iter()
-                        .map(|atom| {
-                            self.profiler.predict(
-                                graph_fingerprint(&atom.graph),
-                                backend,
-                                self.store.as_deref(),
-                            )
-                        })
-                        .collect()
-                } else {
-                    vec![None; plan.atoms.len()]
-                };
-                // The pool atom — the one the thread budget centers on,
-                // and the one the composer varies fastest. Default (and
-                // `Fixed` always): the last atom. `Auto`: the atom with
-                // the largest predicted live wall, unknown counting as
-                // infinite and ties breaking toward the later index, so
-                // cold dispatch is exactly the fixed dispatch.
-                let mut pool = last;
-                if auto {
-                    let mut best = 0u64;
-                    for (i, p) in predictions.iter().enumerate() {
-                        let wall = p.map(|p| p.wall_us).unwrap_or(u64::MAX);
-                        if wall >= best {
-                            best = wall;
-                            pool = i;
-                        }
-                    }
-                    if pool != last {
-                        self.telemetry.auto_pool_overrides.inc();
-                    }
-                }
-                // Parallel-vs-sequential threshold: when even the pool
-                // atom's predicted wall is sub-threshold, pool setup
-                // costs more than it buys — run everything sequential.
-                // (`get`, not an index: a fully-chordal graph plans to
-                // zero enumerated atoms.)
-                let demoted = auto
-                    && matches!(predictions.get(pool).copied().flatten().map(|p| p.wall_us),
-                        Some(w) if w < AUTO_SEQUENTIAL_WALL_US);
-                if demoted && effective_threads > 1 {
-                    self.telemetry.auto_sequential_demotions.inc();
-                }
-                // The per-atom thread budget. `Fixed`: the pool (last)
-                // atom takes the whole budget, the rest run sequential
-                // — PR 4's rule, bit for bit. `Auto`: the budget splits
-                // proportionally to predicted wall across the atoms
-                // that can use it (see `split_thread_budget`).
-                let atom_threads: Vec<usize> = if auto {
-                    split_thread_budget(effective_threads, &predictions, pool, demoted)
-                } else {
-                    (0..plan.atoms.len())
-                        .map(|i| if i == pool { effective_threads } else { 1 })
-                        .collect()
-                };
-                // `stream_for` wants the *requested* count for the pool
-                // atom under `Fixed` (`0` = engine default, resolved
-                // there identically) — preserve the old call shape.
-                let atom_threads_raw: Vec<usize> = if auto {
-                    atom_threads.clone()
-                } else {
-                    (0..plan.atoms.len())
-                        .map(|i| if i == pool { threads } else { 1 })
-                        .collect()
-                };
-                // Cursor order. The composer varies the last child
-                // fastest and lets child 0 trim its cache, so under
-                // `Auto` + unordered + unranked the pool atom goes
-                // last and the most result-rich atom goes first.
-                // Ranked and deterministic queries keep plan order:
-                // their emission order is part of the answer contract.
-                let order: Vec<usize> =
-                    if auto && ranked_measure.is_none() && delivery == Delivery::Unordered {
-                        let mut others: Vec<usize> =
-                            (0..plan.atoms.len()).filter(|&i| i != pool).collect();
-                        others.sort_by_key(|&i| {
-                            std::cmp::Reverse(predictions[i].map(|p| p.results).unwrap_or(0))
-                        });
-                        if pool < plan.atoms.len() {
-                            others.push(pool);
-                        }
-                        others
-                    } else {
-                        (0..plan.atoms.len()).collect()
-                    };
-                let mut dispatch: Vec<AtomDispatch> = Vec::with_capacity(plan.atoms.len());
-                let response = if let Some(measure) = ranked_measure {
-                    let children = order
-                        .iter()
-                        .map(|&i| {
-                            let atom = &plan.atoms[i];
-                            let session =
-                                self.session_keyed(&atom.graph, Box::new(Arc::clone(&shared)));
-                            let stream = self.stream_for(
-                                &session,
-                                mode,
-                                Delivery::Deterministic,
-                                atom_threads_raw[i],
-                                Some(&cancel),
-                            );
-                            dispatch.push(AtomDispatch {
-                                index: i,
-                                nodes: atom.graph.num_nodes(),
-                                threads: atom_threads[i],
-                                kind: DispatchKind::Ranked,
-                            });
-                            let stream = Self::maybe_traced(
-                                stream,
-                                query_span.as_ref(),
-                                i,
-                                atom.graph.num_nodes(),
-                                DispatchKind::Ranked,
-                            );
-                            let floor = cost_floor(&atom.graph, measure);
-                            let stream = RankedStream::over(stream, measure, floor)
-                                .with_expansion_counter(Arc::clone(
-                                    &self.telemetry.ranked_expansions,
-                                ));
-                            RankedAtom {
-                                stream,
-                                old_of: atom.old_of.clone(),
-                            }
-                        })
-                        .collect();
-                    let width_const = match measure {
-                        CostMeasure::Width => plan.chordal_width(g),
-                        CostMeasure::Fill => 0,
-                    };
-                    let composed = RankedComposed::new(g.clone(), measure, width_const, children);
-                    let timed = FirstResultTimed::new(
-                        Box::new(composed),
-                        Arc::clone(&self.telemetry.ranked_first_result_us),
-                    );
-                    Response::over_ranked_stream(task, budget, cancel, Box::new(timed))
-                } else {
-                    let children = order
-                        .iter()
-                        .map(|&i| {
-                            let atom = &plan.atoms[i];
-                            let session =
-                                self.session_keyed(&atom.graph, Box::new(Arc::clone(&shared)));
-                            let stream = self.stream_for(
-                                &session,
-                                mode,
-                                delivery,
-                                atom_threads_raw[i],
-                                Some(&cancel),
-                            );
-                            let kind = dispatch_kind(stream.served_kind(), atom_threads[i]);
-                            dispatch.push(AtomDispatch {
-                                index: i,
-                                nodes: atom.graph.num_nodes(),
-                                threads: atom_threads[i],
-                                kind,
-                            });
-                            let stream = Self::maybe_traced(
-                                stream,
-                                query_span.as_ref(),
-                                i,
-                                atom.graph.num_nodes(),
-                                kind,
-                            );
-                            AtomStream {
-                                stream,
-                                old_of: atom.old_of.clone(),
-                            }
-                        })
-                        .collect();
-                    let composed = ComposedStream::new(g.clone(), children);
-                    Response::over_stream(task, budget, cancel, Box::new(composed))
-                };
-                dispatch.sort_by_key(|d| d.index);
-                let response = response.with_dispatch(dispatch);
-                return match (tracer, query_span) {
-                    (Some(t), Some(s)) => response.with_trace(t, s),
-                    _ => response,
-                };
-            }
-        }
-        let session = self.session_keyed(g, triangulator);
-        // Whole-graph dispatch: `Auto` applies the same parallel-vs-
-        // sequential threshold from the learned whole-graph profile.
-        let (flat_raw, flat_eff) = if auto && effective_threads > 1 {
-            match self
-                .profiler
-                .predict(graph_fingerprint(g), backend, self.store.as_deref())
-            {
-                Some(p) if p.wall_us < AUTO_SEQUENTIAL_WALL_US => {
-                    self.telemetry.auto_sequential_demotions.inc();
-                    (1, 1)
-                }
-                _ => (threads, effective_threads),
-            }
-        } else {
-            (threads, effective_threads)
-        };
-        let mut dispatch: Vec<AtomDispatch> = Vec::with_capacity(1);
-        let response = if let Some(measure) = ranked_measure {
-            let stream = self.stream_for(
-                &session,
-                mode,
-                Delivery::Deterministic,
-                flat_raw,
-                Some(&cancel),
-            );
-            dispatch.push(AtomDispatch {
-                index: 0,
-                nodes: g.num_nodes(),
-                threads: flat_eff,
-                kind: DispatchKind::Ranked,
-            });
-            let stream = Self::maybe_traced(
-                stream,
-                query_span.as_ref(),
-                0,
-                g.num_nodes(),
-                DispatchKind::Ranked,
-            );
-            let floor = cost_floor(g, measure);
-            let stream = RankedStream::over(stream, measure, floor)
-                .with_expansion_counter(Arc::clone(&self.telemetry.ranked_expansions));
-            let timed = FirstResultTimed::new(
-                Box::new(stream),
-                Arc::clone(&self.telemetry.ranked_first_result_us),
-            );
-            Response::over_ranked_stream(task, budget, cancel, Box::new(timed))
-        } else {
-            let stream = self.stream_for(&session, mode, delivery, flat_raw, Some(&cancel));
-            let kind = dispatch_kind(stream.served_kind(), flat_eff);
-            dispatch.push(AtomDispatch {
-                index: 0,
-                nodes: g.num_nodes(),
-                threads: flat_eff,
-                kind,
-            });
-            let stream = Self::maybe_traced(stream, query_span.as_ref(), 0, g.num_nodes(), kind);
-            Response::over_stream(task, budget, cancel, stream)
-        };
-        let response = response.with_dispatch(dispatch);
-        match (tracer, query_span) {
-            (Some(t), Some(s)) => response.with_trace(t, s),
-            _ => response,
-        }
-    }
-
-    /// Wraps `stream` in a [`TracedStream`] under an `atom` span when the
-    /// query is traced; the untraced path boxes the stream unchanged.
-    /// The `dispatch` attribute records how the stream was actually
-    /// served — the same [`DispatchKind`] the response's outcome
-    /// reports (`ranked` for streams feeding a ranked frontier, whose
-    /// `results` attribute then counts the frontier's expansions).
-    fn maybe_traced(
-        stream: EngineEnumeration,
-        query_span: Option<&mintri_telemetry::SpanHandle>,
-        index: usize,
-        nodes: usize,
-        kind: DispatchKind,
-    ) -> Box<dyn TriangulationStream + 'static> {
-        match query_span {
-            Some(parent) => {
-                let span = parent.child("atom");
-                span.attr("index", index.to_string());
-                span.attr("nodes", nodes.to_string());
-                span.attr("dispatch", kind.name());
-                Box::new(TracedStream::new(Box::new(stream), span))
-            }
-            None => Box::new(stream),
-        }
+        dispatch::assemble(
+            g,
+            query,
+            executor,
+            |g| self.plan_for(g),
+            |req| {
+                let session = self.session_keyed(req.graph, Box::new(Arc::clone(req.triangulator)));
+                let stream =
+                    self.stream_for(&session, req.mode, req.delivery, req.threads, req.cancel);
+                let kind = dispatch_kind(stream.served_kind(), req.threads);
+                (Box::new(stream), Some(kind))
+            },
+        )
     }
 
     /// The cached (or freshly computed) [`Plan`] for `g`. Planning is
@@ -1293,7 +987,7 @@ impl Engine {
         mode: PrintMode,
         delivery: Delivery,
         threads: usize,
-        cancel: Option<&CancelToken>,
+        cancel: &CancelToken,
     ) -> EngineEnumeration {
         if let Some(answers) = session.replayable(delivery, mode) {
             self.telemetry.replay_hits.inc();
@@ -1313,10 +1007,6 @@ impl Engine {
         if let Some(hydrated) = self.hydrate_stream(session, mode, delivery) {
             return hydrated;
         }
-        let threads = match threads {
-            0 => self.config.resolved_threads(),
-            n => n,
-        };
         self.live_stream(session, mode, delivery, threads, cancel)
     }
 
@@ -1407,7 +1097,7 @@ impl Engine {
         mode: PrintMode,
         delivery: Delivery,
         threads: usize,
-        cancel: Option<&CancelToken>,
+        cancel: &CancelToken,
     ) -> EngineEnumeration {
         if threads > 1 {
             let par = crate::ParallelEnumerator::from_msgraph_with_mode(
@@ -1419,7 +1109,7 @@ impl Engine {
                 },
                 mode,
             );
-            let cancel_hook = cancel.map(|token| token.on_cancel(par.abort_hook()));
+            let cancel_hook = Some(cancel.on_cancel(par.abort_hook()));
             let key = match delivery {
                 Delivery::Unordered => AnswerKey::Unordered,
                 Delivery::Deterministic => AnswerKey::Ordered(mode),
@@ -1445,7 +1135,7 @@ impl Engine {
         mode: PrintMode,
         _delivery: Delivery,
         _threads: usize,
-        _cancel: Option<&CancelToken>,
+        _cancel: &CancelToken,
     ) -> EngineEnumeration {
         self.sequential_stream(session, mode)
     }
@@ -1503,102 +1193,6 @@ fn dispatch_kind(served: RunKind, threads: usize) -> DispatchKind {
                 DispatchKind::Sequential
             }
         }
-    }
-}
-
-/// Splits `effective` worker threads across a plan's atoms under
-/// `ExecPolicy::Auto`, proportionally to predicted live wall.
-///
-/// The pool atom always anchors the budget. Other atoms join the split
-/// only when their predicted wall is known, above the sequential
-/// threshold, and within 4× of the pool's — a wide pool next to a
-/// near-instant atom should not give the fast atom idle workers. Cold
-/// profiles (no predictions) therefore reduce to "the pool atom takes
-/// everything", which is exactly the `Fixed` dispatch.
-fn split_thread_budget(
-    effective: usize,
-    predictions: &[Option<Prediction>],
-    pool: usize,
-    demoted: bool,
-) -> Vec<usize> {
-    let mut out = vec![1usize; predictions.len()];
-    if demoted || effective <= 1 || predictions.is_empty() {
-        return out;
-    }
-    out[pool] = effective;
-    let pool_wall = match predictions[pool] {
-        Some(p) => p.wall_us,
-        None => return out,
-    };
-    let sharers: Vec<(usize, u64)> = predictions
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != pool)
-        .filter_map(|(i, p)| p.map(|p| (i, p.wall_us)))
-        .filter(|&(_, w)| w >= AUTO_SEQUENTIAL_WALL_US && w.saturating_mul(4) >= pool_wall)
-        .collect();
-    if sharers.is_empty() {
-        return out;
-    }
-    let total = pool_wall + sharers.iter().map(|&(_, w)| w).sum::<u64>();
-    let mut remaining = effective.saturating_sub(1); // the pool keeps ≥ 1
-    for &(i, w) in &sharers {
-        if remaining == 0 {
-            break;
-        }
-        let share = ((effective as u64).saturating_mul(w) / total.max(1)).max(1) as usize;
-        let share = share.min(remaining);
-        out[i] = share;
-        remaining -= share;
-    }
-    out[pool] = remaining + 1;
-    out
-}
-
-/// Records the delay from ranked-stream creation to its first emitted
-/// result onto `mintri_engine_ranked_first_result_microseconds` — the
-/// headline number of the ranked gear (how fast does the best answer
-/// surface, regardless of how big the space is). Two clock reads total
-/// (construction + first pull) and one histogram write; the PR 6
-/// hot-path invariant (write-only atomics) holds.
-struct FirstResultTimed {
-    inner: Box<dyn TriangulationStream + 'static>,
-    created: Instant,
-    hist: Arc<Histogram>,
-    fired: bool,
-}
-
-impl FirstResultTimed {
-    fn new(inner: Box<dyn TriangulationStream + 'static>, hist: Arc<Histogram>) -> Self {
-        FirstResultTimed {
-            inner,
-            created: Instant::now(),
-            hist,
-            fired: false,
-        }
-    }
-}
-
-impl TriangulationStream for FirstResultTimed {
-    fn next_tri(&mut self) -> Option<Triangulation> {
-        let tri = self.inner.next_tri();
-        if tri.is_some() && !self.fired {
-            self.fired = true;
-            self.hist.record_duration(self.created.elapsed());
-        }
-        tri
-    }
-
-    fn finished(&self) -> bool {
-        self.inner.finished()
-    }
-
-    fn enum_stats(&self) -> Option<EnumMisStats> {
-        self.inner.enum_stats()
-    }
-
-    fn is_replay(&self) -> bool {
-        self.inner.is_replay()
     }
 }
 
@@ -2072,100 +1666,9 @@ mod tests {
     }
 
     #[test]
-    fn cold_auto_dispatch_matches_fixed() {
-        // With no profile data, Auto must collapse to exactly the Fixed
-        // schedule: same pool placement, same thread grants, same
-        // results. Two fresh engines so neither run warms the other.
-        // C4 and C6 glued at a cut vertex → a two-atom plan.
-        let g = Graph::from_edges(
-            9,
-            &[
-                (0, 1),
-                (1, 2),
-                (2, 3),
-                (3, 0),
-                (3, 4),
-                (4, 5),
-                (5, 6),
-                (6, 7),
-                (7, 8),
-                (8, 3),
-            ],
-        );
-        for threads in [1, 4] {
-            let auto_engine = Engine::with_config(EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            });
-            let fixed_engine = Engine::with_config(EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            });
-            let (an, auto) = dispatch_of(&auto_engine, &g, Query::enumerate());
-            let (fnn, fixed) = dispatch_of(
-                &fixed_engine,
-                &g,
-                Query::enumerate().policy(ExecPolicy::fixed()),
-            );
-            assert_eq!(an, fnn);
-            assert_eq!(auto, fixed, "cold Auto diverged at threads={threads}");
-            assert_eq!(auto_engine.telemetry().auto_pool_overrides.get(), 0);
-            assert_eq!(auto_engine.telemetry().auto_sequential_demotions.get(), 0);
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn warm_profile_demotes_cheap_graphs_to_sequential() {
-        let engine = Engine::with_config(EngineConfig {
-            threads: 4,
-            ..EngineConfig::default()
-        });
-        let g = Graph::cycle(7);
-        // Teach the profiler a known-cheap history directly (a wall
-        // measured in real time would make this test build-speed
-        // dependent): one completed live run, 50µs wall.
-        engine.profiler().record_run(
-            graph_fingerprint(&g),
-            "MCS_M",
-            g.num_nodes() as u32,
-            crate::profile::RunRecord {
-                kind: crate::profile::RunKind::Live,
-                completed: true,
-                results: 42,
-                first_us: Some(1),
-                wall_us: 50,
-                extends: 60,
-            },
-            None,
-        );
-        assert_eq!(
-            engine.predicted_wall_us(&g, "MCS_M"),
-            Some(50),
-            "the recorded run must leave a prediction behind"
-        );
-        let (n, warm) = dispatch_of(&engine, &g, Query::enumerate());
-        assert_eq!(n, 42);
-        assert_eq!(
-            warm,
-            vec![(DispatchKind::Sequential, 1)],
-            "a known-cheap atom must be demoted off the pool"
-        );
-        assert!(engine.telemetry().auto_sequential_demotions.get() >= 1);
-        // Fixed still takes the pool: the demotion is an Auto decision.
-        engine.clear_sessions();
-        let (_, fixed) = dispatch_of(
-            &engine,
-            &g,
-            Query::enumerate().policy(ExecPolicy::fixed().with_threads(4)),
-        );
-        assert_eq!(fixed, vec![(DispatchKind::Parallel, 4)]);
-    }
-
-    #[test]
-    fn auto_survives_a_plan_with_zero_enumerated_atoms() {
-        // A chordal graph reduces to no non-trivial atoms; Auto's
-        // prediction bookkeeping must cope with the empty plan.
+    fn dispatch_survives_a_plan_with_zero_enumerated_atoms() {
+        // A chordal graph reduces to no non-trivial atoms; dispatch must
+        // cope with the empty plan (one fill-free result, no streams).
         let engine = Engine::new();
         let g = Graph::cycle(3);
         let mut resp = engine.run(&g, Query::enumerate());

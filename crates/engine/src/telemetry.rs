@@ -76,12 +76,6 @@ pub struct EngineTelemetry {
     pub profile_hydrates: Arc<Counter>,
     /// Distinct `(atom, backend)` cost profiles held in RAM.
     pub profile_entries: Arc<Gauge>,
-    /// Auto-policy dispatches where the profile moved the thread pool
-    /// off the default (last) atom.
-    pub auto_pool_overrides: Arc<Counter>,
-    /// Auto-policy dispatches demoted to sequential by a cheap
-    /// predicted wall.
-    pub auto_sequential_demotions: Arc<Counter>,
 }
 
 impl EngineTelemetry {
@@ -189,14 +183,6 @@ impl EngineTelemetry {
             profile_entries: g(
                 "mintri_engine_profile_entries",
                 "Distinct (atom, backend) cost profiles held in RAM",
-            ),
-            auto_pool_overrides: c(
-                "mintri_engine_auto_pool_overrides_total",
-                "Auto dispatches that moved the thread pool off the last atom",
-            ),
-            auto_sequential_demotions: c(
-                "mintri_engine_auto_sequential_demotions_total",
-                "Auto dispatches demoted to sequential by a cheap predicted wall",
             ),
             registry,
         }

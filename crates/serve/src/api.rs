@@ -179,11 +179,11 @@ const PROFILE_STATS_ROWS: usize = 32;
 /// Headroom multiplier on the predicted wall when the server arms a
 /// default timeout for a known-slow graph: generous enough that an
 /// honest run never trips it, tight enough that a wedged one does.
-const AUTO_TIMEOUT_HEADROOM: u64 = 32;
+const DEFAULT_TIMEOUT_HEADROOM: u64 = 32;
 
 /// Floor on the profile-driven default timeout, so a marginally-slow
 /// prediction never arms a hair-trigger watchdog.
-const AUTO_TIMEOUT_FLOOR: Duration = Duration::from_secs(5);
+const DEFAULT_TIMEOUT_FLOOR: Duration = Duration::from_secs(5);
 
 impl SlowLog {
     fn new() -> Self {
@@ -661,16 +661,7 @@ impl AppState {
                 None => cap,
             });
         }
-        let timeout = match spec.get("timeout_ms") {
-            // No deadline from the client: a known-slow graph still gets
-            // a server-side default so one request can't hold a worker
-            // forever. An explicit `"timeout_ms": null` opts out.
-            None => self.auto_timeout(&query, &graph),
-            Some(JsonValue::Null) => None,
-            Some(v) => Some(Duration::from_millis(v.as_u64().ok_or_else(|| {
-                HttpError::bad_request("`timeout_ms` must be a non-negative integer")
-            })?)),
-        };
+        let timeout = self.query_timeout(spec, &query, &graph)?;
         let name = task_name(&query.task);
         let watchdog = timeout.map(|t| arm_watchdog(&query, t));
         let response = self.engine.run(&graph, query);
@@ -682,14 +673,31 @@ impl AppState {
         })
     }
 
-    /// The profile-driven default timeout: under an `Auto` policy, if
-    /// the learned cost profile predicts this graph's full wall at or
-    /// above the slow-query threshold, arm a deadline with generous
-    /// headroom. Cold profiles and `Fixed` queries change nothing.
-    fn auto_timeout(&self, query: &Query, graph: &Graph) -> Option<Duration> {
-        if !query.policy.is_auto() {
-            return None;
-        }
+    /// The query's deadline: the spec's `timeout_ms` when given, else
+    /// [`AppState::default_timeout`]. An explicit `"timeout_ms": null`
+    /// opts out of both.
+    fn query_timeout(
+        &self,
+        spec: &JsonValue,
+        query: &Query,
+        graph: &Graph,
+    ) -> Result<Option<Duration>, HttpError> {
+        Ok(match spec.get("timeout_ms") {
+            None => self.default_timeout(query, graph),
+            Some(JsonValue::Null) => None,
+            Some(v) => Some(Duration::from_millis(v.as_u64().ok_or_else(|| {
+                HttpError::bad_request("`timeout_ms` must be a non-negative integer")
+            })?)),
+        })
+    }
+
+    /// The profile-driven default timeout, so one request on a
+    /// known-slow graph can't hold a worker forever: if the learned cost
+    /// profile predicts this graph's full wall at or above the
+    /// slow-query threshold, arm a deadline of
+    /// [`DEFAULT_TIMEOUT_HEADROOM`] × the prediction, at least
+    /// [`DEFAULT_TIMEOUT_FLOOR`]. A cold profile arms nothing.
+    fn default_timeout(&self, query: &Query, graph: &Graph) -> Option<Duration> {
         let wall_us = self
             .engine
             .predicted_wall_us(graph, query.triangulator.name())?;
@@ -697,8 +705,8 @@ impl AppState {
             return None;
         }
         Some(
-            Duration::from_micros(wall_us.saturating_mul(AUTO_TIMEOUT_HEADROOM))
-                .max(AUTO_TIMEOUT_FLOOR),
+            Duration::from_micros(wall_us.saturating_mul(DEFAULT_TIMEOUT_HEADROOM))
+                .max(DEFAULT_TIMEOUT_FLOOR),
         )
     }
 
@@ -927,5 +935,86 @@ impl AppState {
         let text = std::str::from_utf8(&req.body)
             .map_err(|_| HttpError::bad_request("request body is not valid UTF-8"))?;
         JsonValue::parse(text).map_err(|e| HttpError::bad_request(e.to_string()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mintri_engine::profile::{RunKind, RunRecord};
+
+    /// Teaches the engine's profiler one completed live run of `g`.
+    fn teach(engine: &Engine, g: &Graph, wall_us: u64) {
+        let run = RunRecord {
+            kind: RunKind::Live,
+            completed: true,
+            results: 1,
+            first_us: Some(1),
+            wall_us,
+            extends: 1,
+        };
+        engine.profiler().record_run(
+            graph_fingerprint(g),
+            "MCS_M",
+            g.num_nodes() as u32,
+            run,
+            None,
+        );
+    }
+
+    fn timeout_of(state: &AppState, spec: &str, g: &Graph) -> Option<Duration> {
+        let spec = JsonValue::parse(spec).unwrap();
+        let query = query_from_json(spec.get("query").unwrap()).unwrap();
+        state.query_timeout(&spec, &query, g).unwrap()
+    }
+
+    #[test]
+    fn default_timeout_arms_only_for_known_slow_graphs() {
+        let limits = ApiLimits {
+            slow_query_ms: 100,
+            ..ApiLimits::default()
+        };
+        let state = AppState::new(Arc::new(Engine::new()), limits);
+        let (slow, marginal, cheap, cold) = (
+            Graph::cycle(7),
+            Graph::cycle(8),
+            Graph::cycle(6),
+            Graph::cycle(9),
+        );
+        teach(state.engine(), &slow, 400_000);
+        teach(state.engine(), &marginal, 100_000);
+        teach(state.engine(), &cheap, 99_000);
+        let bare = r#"{"query":{"task":{"type":"enumerate"}}}"#;
+        // 32 × the 400 ms prediction.
+        assert_eq!(
+            timeout_of(&state, bare, &slow),
+            Some(Duration::from_millis(12_800))
+        );
+        // 32 × 100 ms = 3.2 s, clamped up to the 5 s floor.
+        assert_eq!(
+            timeout_of(&state, bare, &marginal),
+            Some(DEFAULT_TIMEOUT_FLOOR)
+        );
+        assert_eq!(
+            timeout_of(&state, bare, &cheap),
+            None,
+            "below slow_query_ms"
+        );
+        assert_eq!(timeout_of(&state, bare, &cold), None, "cold profile");
+        // Every query without `timeout_ms` gets the default, whatever its
+        // policy…
+        let pinned = r#"{"query":{"task":{"type":"enumerate"},"policy":{"threads":1}}}"#;
+        assert_eq!(
+            timeout_of(&state, pinned, &slow),
+            Some(Duration::from_millis(12_800))
+        );
+        // …and an explicit `timeout_ms` wins, `null` opting out.
+        let explicit = r#"{"timeout_ms":7,"query":{"task":{"type":"enumerate"}}}"#;
+        assert_eq!(
+            timeout_of(&state, explicit, &slow),
+            Some(Duration::from_millis(7))
+        );
+        let opt_out = r#"{"timeout_ms":null,"query":{"task":{"type":"enumerate"}}}"#;
+        assert_eq!(timeout_of(&state, opt_out, &slow), None);
     }
 }

@@ -312,6 +312,13 @@ fn malformed_requests_get_structured_400s_and_the_server_survives() {
     assert_eq!(resp.status, 400);
     assert!(resp.body.contains("unknown task type"), "{}", resp.body);
 
+    // A policy knob outside the policy object is rejected by name.
+    let spec =
+        format!(r#"{{"graph":{g},"query":{{"task":{{"type":"enumerate"}},"ranked":false}}}}"#);
+    let resp = request(server.addr, "POST", "/v1/query", Some(&spec)).unwrap();
+    assert_eq!(resp.status, 400);
+    assert!(resp.body.contains("policy.ranked"), "{}", resp.body);
+
     // Bad routes and methods.
     let resp = request(server.addr, "GET", "/v2/everything", None).unwrap();
     assert_eq!(resp.status, 404);

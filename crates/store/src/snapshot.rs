@@ -184,9 +184,9 @@ pub struct DigestSnapshot {
 /// pair — the store-level image of the engine's cost profile.
 ///
 /// Unlike answer/plan snapshots this entry carries **no graph-equality
-/// proof**: a profile only steers *scheduling* (cursor order, thread
-/// split, dispatch mode, timeouts), never answers, so the worst a
-/// fingerprint collision can cost is a mis-tuned schedule — the same
+/// proof**: a profile only feeds observability and the server's
+/// default timeout, never answers, so the worst a fingerprint collision
+/// can cost is a misreported row or a mis-sized timeout — the same
 /// price as a cold start.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileSnapshot {

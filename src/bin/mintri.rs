@@ -6,15 +6,14 @@
 //! mintri atoms        --input g.col [--format text|json]
 //! mintri triangulate  --input g.col [--algo mcsm|lbtriang|lexm|mindegree] [--format ...]
 //! mintri enumerate    --input g.col [--limit K] [--budget-ms T] [--algo ...]
-//!                     [--policy auto|fixed] [--explain] [--threads N]
-//!                     [--delivery unordered|deterministic] [--store-dir DIR]
-//!                     [--format ...]
+//!                     [--threads N] [--delivery unordered|deterministic]
+//!                     [--no-plan] [--explain] [--store-dir DIR] [--format ...]
 //! mintri best-k       --input g.col [--k K] [--by width|fill] [--limit K]
-//!                     [--policy auto|fixed] [--explain] [--budget-ms T]
-//!                     [--threads N] [--delivery ...] [--format ...]
+//!                     [--budget-ms T] [--threads N] [--delivery ...]
+//!                     [--no-plan] [--no-ranked] [--explain] [--format ...]
 //! mintri decompose    --input g.col [--limit K] [--one-per-class true]
-//!                     [--policy auto|fixed] [--explain] [--threads N]
-//!                     [--delivery ...] [--format ...]
+//!                     [--threads N] [--delivery ...] [--no-plan]
+//!                     [--explain] [--format ...]
 //! mintri serve        [--addr HOST:PORT] [--threads N] [--max-sessions M]
 //!                     [--workers W] [--slow-query-ms T] [--store-dir DIR]
 //!                     [--store-budget-mb MB]
@@ -36,23 +35,19 @@
 //! `mintri atoms` prints the clique-minimal-separator decomposition the
 //! planning layer enumerates over (components, atoms, separators).
 //!
-//! Execution is governed by `--policy`: `auto` (the default) lets the
-//! engine's learned per-atom cost profiles choose the schedule —
-//! thread split, cursor order, parallel-vs-sequential — while `fixed`
-//! pins the classic knobs. `--explain` prints the dispatch the engine
-//! actually chose for each atom (replay/hydrate/parallel/sequential/
-//! ranked plus the thread grant) to stderr; in `--format json` the
-//! same record rides in `outcome.dispatch`. The old switches remain as
-//! deprecated aliases for `--policy fixed`: `--no-plan` forces the
-//! unreduced whole-graph path, `--no-ranked` forces best-k onto the
-//! exhaustive scan-everything path (same winners, same order — the
-//! ranked gear is an optimization, not a semantic change).
+//! Execution is governed by one flag per policy knob: `--threads` and
+//! `--delivery` as above, `--no-plan` forces the unreduced whole-graph
+//! path, and `--no-ranked` forces best-k onto the exhaustive
+//! scan-everything path (same winners, same order — the ranked gear is
+//! an optimization, not a semantic change). `--explain` prints the
+//! dispatch each atom actually got (replay/hydrate/parallel/sequential/
+//! ranked plus the thread grant) to stderr; in `--format json` the same
+//! record rides in `outcome.dispatch`.
 //!
 //! Graphs: DIMACS `.col` (default), 0-based edge lists, or UAI network
-//! files — select explicitly with `--input-format`. (For compatibility,
-//! `--format dimacs|edges|uai` is still accepted as an input format;
-//! otherwise `--format` selects the *output* format, `text` or `json`.)
-//! Text output goes to stdout; diagnostics to stderr.
+//! files — select explicitly with `--input-format`. `--format` selects
+//! the *output* format, `text` or `json`. Text output goes to stdout;
+//! diagnostics to stderr.
 //!
 //! `mintri serve` boots the HTTP/batch transport (`mintri-serve`) over
 //! one shared engine: every remote query hits the same warm sessions
@@ -137,14 +132,12 @@ enum Output {
     Json,
 }
 
-/// The `--format` flag historically selected the *input* file format;
-/// those values still route there, everything else is an output format.
 fn pick_output(flags: &HashMap<String, String>) -> Result<Output, String> {
     match flags.get("format").map(String::as_str) {
-        None | Some("text") | Some("dimacs") | Some("edges") | Some("uai") => Ok(Output::Text),
+        None | Some("text") => Ok(Output::Text),
         Some("json") => Ok(Output::Json),
         Some(other) => Err(format!(
-            "unknown --format {other:?} (use text or json; dimacs|edges|uai select the input format)"
+            "unknown --format {other:?} (use text or json; --input-format selects the input format)"
         )),
     }
 }
@@ -154,14 +147,9 @@ fn load_graph(flags: &HashMap<String, String>) -> Result<Graph, String> {
         .get("input")
         .ok_or_else(|| "--input FILE is required".to_string())?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let legacy = flags
-        .get("format")
-        .map(String::as_str)
-        .filter(|f| matches!(*f, "dimacs" | "edges" | "uai"));
     let format = flags
         .get("input-format")
         .map(String::as_str)
-        .or(legacy)
         .unwrap_or_else(|| {
             if path.ends_with(".uai") {
                 "uai"
@@ -241,38 +229,14 @@ fn parse_budget(flags: &HashMap<String, String>) -> Result<EnumerationBudget, St
     })
 }
 
-/// `--policy auto|fixed` (plus the deprecated `--no-plan`/`--no-ranked`
-/// aliases) → the query's [`ExecPolicy`]. `auto` is the default: the
-/// engine's learned cost profiles drive the schedule. The legacy
-/// switches still work — they select a `fixed` policy with a
-/// deprecation note — but cannot be combined with an explicit
-/// `--policy auto`, which they would contradict.
+/// `--no-plan` / `--no-ranked` / `--delivery` → the query's
+/// [`ExecPolicy`]. (`--threads` sizes the engine instead; see
+/// [`pick_engine_config`].)
 fn pick_policy(flags: &HashMap<String, String>) -> Result<ExecPolicy, String> {
-    let delivery = pick_delivery(flags)?;
-    let legacy: Vec<&str> = ["no-plan", "no-ranked"]
-        .into_iter()
-        .filter(|k| flags.contains_key(*k))
-        .collect();
-    match flags.get("policy").map(String::as_str) {
-        None | Some("auto") if legacy.is_empty() => Ok(ExecPolicy::auto().with_delivery(delivery)),
-        Some("auto") => Err(format!(
-            "--{} pins a fixed schedule and contradicts --policy auto; drop it or use --policy fixed",
-            legacy[0]
-        )),
-        None | Some("fixed") => {
-            if flags.get("policy").is_none() {
-                eprintln!(
-                    "warning: --{} is a deprecated alias for --policy fixed",
-                    legacy.join(" and --")
-                );
-            }
-            Ok(ExecPolicy::fixed()
-                .with_planned(!flags.contains_key("no-plan"))
-                .with_ranked(!flags.contains_key("no-ranked"))
-                .with_delivery(delivery))
-        }
-        Some(other) => Err(format!("unknown --policy {other:?} (use auto or fixed)")),
-    }
+    Ok(ExecPolicy::default()
+        .with_planned(!flags.contains_key("no-plan"))
+        .with_ranked(!flags.contains_key("no-ranked"))
+        .with_delivery(pick_delivery(flags)?))
 }
 
 /// Builds the typed query for one enumeration command — the single place
@@ -326,9 +290,9 @@ fn print_trace(outcome: &mintri::core::query::QueryOutcome, output: Output) {
     }
 }
 
-/// `--explain` text rendering: the per-atom dispatch record — how the
-/// engine actually served each atom (replay/hydrate/parallel/sequential/
-/// ranked) and the thread grant — to stderr. JSON output carries the
+/// `--explain` text rendering: the per-atom dispatch record — how each
+/// atom was actually served (replay/hydrate/parallel/sequential/ranked)
+/// and the thread grant — to stderr. JSON output carries the
 /// same data as `outcome.dispatch`.
 fn print_explain(
     outcome: &mintri::core::query::QueryOutcome,
@@ -339,7 +303,7 @@ fn print_explain(
         return;
     }
     if outcome.dispatch.is_empty() {
-        eprintln!("dispatch: local (no engine)");
+        eprintln!("dispatch: no atom needs enumerating (chordal input)");
         return;
     }
     for d in &outcome.dispatch {

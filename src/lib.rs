@@ -55,12 +55,15 @@
 //! set is identical while the work drops from one exponential blob to a
 //! sum of small enumerations. The engine keys its sessions per atom, so
 //! different graphs sharing an atom share its warm cache. Opt out per
-//! query with `Query::planned(false)` (CLI: `--no-plan`).
+//! query with `ExecPolicy::default().with_planned(false)` (CLI:
+//! `--no-plan`).
 //!
-//! The two execution paths agree exactly: `Deterministic` delivery
-//! reproduces `run_local`'s output stream, and `Unordered` reproduces
-//! the answer set (`tests/engine_parallel.rs`, `tests/query_api.rs` and
-//! `tests/planning.rs` hold these contracts).
+//! The two execution paths agree exactly — they share one dispatch path
+//! (`mintri_core::dispatch`) and differ only in how a stream is opened:
+//! `Deterministic` delivery reproduces `run_local`'s output stream, and
+//! `Unordered` reproduces the answer set (`tests/engine_parallel.rs`,
+//! `tests/query_api.rs`, `tests/planning.rs` and
+//! `tests/executor_equivalence.rs` hold these contracts).
 //!
 //! Beneath the front door, the single-threaded iterator kernel remains
 //! public for allocation-lean embedding:

@@ -6,10 +6,13 @@
 //! (from the consumer or from another thread), must end its stream and
 //! join every worker.
 //!
-//! This lives in its own test binary on purpose: the leak check counts
-//! the process's live OS threads via `/proc/self/task`, which is only
-//! meaningful when no sibling test is spinning pools up and down
-//! concurrently.
+//! The leak check counts the process's live engine worker threads (the
+//! `mintri-*` names the drivers give them) via `/proc/self/task`. That
+//! count is only meaningful when no sibling test is spinning pools up
+//! and down concurrently, and libtest runs a binary's tests in parallel
+//! on a multi-core machine — so every test here first takes [`serial`],
+//! one process-wide lock, and the suite is deterministic at any core
+//! count.
 
 use mintri::core::{CostMeasure, MinimalTriangulationsEnumerator};
 use mintri::engine::{Delivery, Engine, EngineConfig, ParallelEnumerator};
@@ -17,22 +20,39 @@ use mintri::prelude::*;
 use mintri::triangulate::McsM;
 use mintri::workloads::random::erdos_renyi;
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Live OS threads of this process; 0 when `/proc` is unavailable (the
-/// assertions degrade to no-ops there).
-fn live_threads() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .map(|d| d.count())
-        .unwrap_or(0)
+/// Serializes this binary's tests: hold the guard for the whole test.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    // A failed test poisons the lock; the next one must still run.
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Waits (briefly) for the thread count to drop back to `baseline` —
+/// Live engine worker threads of this process — the tasks named
+/// `mintri-*` by the parallel drivers and the engine pool. Other threads
+/// (libtest's own, a test's canceller) come and go on their own
+/// schedule and are not counted. `None` when `/proc` is unavailable
+/// (the leak assertions are skipped there).
+fn live_workers() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|name| name.starts_with("mintri-"))
+            .count(),
+    )
+}
+
+/// Waits (briefly) for the worker count to drop back to `baseline` —
 /// `pthread_join` returns before the kernel reaps the task entry, so a
 /// freshly joined worker can linger in `/proc` for a moment.
 fn settles_to(baseline: usize) -> bool {
     for _ in 0..200 {
-        if live_threads() <= baseline {
+        if live_workers().unwrap_or(0) <= baseline {
             return true;
         }
         std::thread::sleep(Duration::from_millis(5));
@@ -54,8 +74,9 @@ fn launch(threads: usize) -> (Engine, Graph) {
 
 #[test]
 fn response_cancel_mid_stream_is_honored_in_both_deliveries() {
+    let _serial = serial();
     for delivery in [Delivery::Unordered, Delivery::Deterministic] {
-        let baseline = live_threads();
+        let baseline = live_workers();
         let (engine, g) = launch(4);
         let mut response = engine.run(
             &g,
@@ -74,11 +95,11 @@ fn response_cancel_mid_stream_is_honored_in_both_deliveries() {
         assert!(!outcome.completed, "{delivery:?}: not complete");
         assert_eq!(outcome.produced, 2);
         drop(response);
-        if baseline > 0 {
+        if let Some(baseline) = baseline {
             assert!(
                 settles_to(baseline),
-                "{delivery:?}: worker threads leaked after cancel: {} live, baseline {}",
-                live_threads(),
+                "{delivery:?}: worker threads leaked after cancel: {:?} live, baseline {}",
+                live_workers(),
                 baseline
             );
         }
@@ -87,8 +108,9 @@ fn response_cancel_mid_stream_is_honored_in_both_deliveries() {
 
 #[test]
 fn cross_thread_cancel_unblocks_a_draining_consumer() {
+    let _serial = serial();
     for delivery in [Delivery::Unordered, Delivery::Deterministic] {
-        let baseline = live_threads();
+        let baseline = live_workers();
         let (engine, g) = launch(4);
         // Safety net: if cancellation were broken the budget still ends
         // the run, and the `cancelled` assertion below catches the bug
@@ -115,7 +137,7 @@ fn cross_thread_cancel_unblocks_a_draining_consumer() {
              (drained {drained} results)"
         );
         drop(response);
-        if baseline > 0 {
+        if let Some(baseline) = baseline {
             assert!(
                 settles_to(baseline),
                 "{delivery:?}: worker threads leaked after cross-thread cancel"
@@ -126,8 +148,9 @@ fn cross_thread_cancel_unblocks_a_draining_consumer() {
 
 #[test]
 fn result_budget_mid_stream_joins_workers_in_both_deliveries() {
+    let _serial = serial();
     for delivery in [Delivery::Unordered, Delivery::Deterministic] {
-        let baseline = live_threads();
+        let baseline = live_workers();
         let (engine, g) = launch(4);
         let mut response = engine.run(
             &g,
@@ -140,7 +163,7 @@ fn result_budget_mid_stream_joins_workers_in_both_deliveries() {
         assert!(!outcome.completed, "{delivery:?}: budget, not completion");
         assert!(!outcome.cancelled, "{delivery:?}");
         drop(response);
-        if baseline > 0 {
+        if let Some(baseline) = baseline {
             assert!(
                 settles_to(baseline),
                 "{delivery:?}: worker threads leaked after budget stop"
@@ -151,8 +174,9 @@ fn result_budget_mid_stream_joins_workers_in_both_deliveries() {
 
 #[test]
 fn time_budget_mid_stream_joins_workers_in_both_deliveries() {
+    let _serial = serial();
     for delivery in [Delivery::Unordered, Delivery::Deterministic] {
-        let baseline = live_threads();
+        let baseline = live_workers();
         let (engine, g) = launch(4);
         let mut response = engine.run(
             &g,
@@ -172,7 +196,7 @@ fn time_budget_mid_stream_joins_workers_in_both_deliveries() {
             "{delivery:?}: the run must have been timeboxed"
         );
         drop(response);
-        if baseline > 0 {
+        if let Some(baseline) = baseline {
             assert!(
                 settles_to(baseline),
                 "{delivery:?}: worker threads leaked after timeout"
@@ -183,7 +207,8 @@ fn time_budget_mid_stream_joins_workers_in_both_deliveries() {
 
 #[test]
 fn cancel_mid_ranked_best_k_yields_the_proven_prefix_and_joins_workers() {
-    let baseline = live_threads();
+    let _serial = serial();
+    let baseline = live_workers();
     let (engine, g) = launch(4);
     // Large k so the ranked stream has plenty left to emit when the
     // cancel lands; the results already out are proven winners.
@@ -203,11 +228,11 @@ fn cancel_mid_ranked_best_k_yields_the_proven_prefix_and_joins_workers() {
     assert!(!outcome.completed);
     assert_eq!(outcome.produced, 2);
     drop(response);
-    if baseline > 0 {
+    if let Some(baseline) = baseline {
         assert!(
             settles_to(baseline),
-            "worker threads leaked after mid-ranked cancel: {} live, baseline {}",
-            live_threads(),
+            "worker threads leaked after mid-ranked cancel: {:?} live, baseline {}",
+            live_workers(),
             baseline
         );
     }
@@ -215,7 +240,8 @@ fn cancel_mid_ranked_best_k_yields_the_proven_prefix_and_joins_workers() {
 
 #[test]
 fn result_budget_mid_ranked_best_k_bounds_emissions_and_joins_workers() {
-    let baseline = live_threads();
+    let _serial = serial();
+    let baseline = live_workers();
     let (engine, g) = launch(4);
     let mut response = engine.run(
         &g,
@@ -228,7 +254,7 @@ fn result_budget_mid_ranked_best_k_bounds_emissions_and_joins_workers() {
     assert!(!outcome.completed, "budget stop, not completion");
     assert!(!outcome.cancelled);
     drop(response);
-    if baseline > 0 {
+    if let Some(baseline) = baseline {
         assert!(
             settles_to(baseline),
             "worker threads leaked after mid-ranked budget stop"
@@ -250,7 +276,8 @@ proptest! {
         threads in 1usize..5,
         deterministic in any::<bool>(),
     ) {
-        let baseline = live_threads();
+        let _serial = serial();
+        let baseline = live_workers();
         let g = erdos_renyi(12, 0.3, seed);
         let delivery = if deterministic {
             Delivery::Deterministic
@@ -271,12 +298,12 @@ proptest! {
         let total = MinimalTriangulationsEnumerator::new(&g).count();
         prop_assert_eq!(taken, prefix.min(total));
         drop(e); // must join all workers without deadlocking…
-        if baseline > 0 {
+        if let Some(baseline) = baseline {
             // …and leave no pool thread behind.
             prop_assert!(
                 settles_to(baseline),
-                "worker threads leaked: {} live, baseline {}",
-                live_threads(),
+                "worker threads leaked: {:?} live, baseline {}",
+                live_workers(),
                 baseline
             );
         }
