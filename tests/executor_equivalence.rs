@@ -47,15 +47,25 @@ fn sorted(mut v: Edges) -> Edges {
     v
 }
 
+/// The oracle's answer set, sorted.
+fn brute_force(g: &Graph) -> Edges {
+    sorted(
+        BruteForce::minimal_triangulations(g)
+            .iter()
+            .map(Graph::edges)
+            .collect(),
+    )
+}
+
 fn catalan(n: usize) -> usize {
     (0..n).fold(1, |c, k| c * 2 * (2 * k + 1) / (k + 2))
 }
 
-/// Runs `g` through `run_local` and through fresh engines at 1 and 4
-/// threads, cold and then session-warm (the second round replays), under
-/// both delivery contracts; asserts they all agree and returns the
+/// Runs `g` through `run_local` and through a fresh engine per entry of
+/// `threads`, cold and then session-warm (the second round replays),
+/// under both delivery contracts; asserts they all agree and returns the
 /// answer set.
-fn assert_executors_agree(g: &Graph) -> Edges {
+fn assert_executors_agree(g: &Graph, threads: &[usize]) -> Edges {
     let det = ExecPolicy::default().with_delivery(Delivery::Deterministic);
     let local = drain(Query::enumerate().run_local(g));
     let local_det = drain(Query::enumerate().policy(det).run_local(g));
@@ -66,7 +76,7 @@ fn assert_executors_agree(g: &Graph) -> Edges {
         sorted(local.clone()),
         "planning changed the answer set"
     );
-    for threads in [1, 4] {
+    for &threads in threads {
         let engine = Engine::with_config(EngineConfig {
             threads,
             ..EngineConfig::default()
@@ -91,15 +101,20 @@ fn assert_executors_agree(g: &Graph) -> Edges {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Every executor equals the brute-force oracle on random graphs.
+    /// Every executor equals the brute-force oracle on random graphs,
+    /// sequential engine.
     #[test]
     fn executors_match_brute_force_on_random_graphs(g in graph_strategy(6)) {
-        let answers = assert_executors_agree(&g);
-        let oracle: Edges = BruteForce::minimal_triangulations(&g)
-            .iter()
-            .map(Graph::edges)
-            .collect();
-        prop_assert_eq!(sorted(answers), sorted(oracle));
+        let answers = assert_executors_agree(&g, &[1]);
+        prop_assert_eq!(sorted(answers), brute_force(&g));
+    }
+
+    /// The same with a parallel worker pool, where the last atom runs on
+    /// the engine's threads.
+    #[test]
+    fn executors_match_brute_force_on_random_graphs_parallel(g in graph_strategy(6)) {
+        let answers = assert_executors_agree(&g, &[4]);
+        prop_assert_eq!(sorted(answers), brute_force(&g));
     }
 }
 
@@ -109,7 +124,7 @@ proptest! {
 fn cycles_yield_catalan_many_results() {
     for n in 3..=9 {
         let g = Graph::cycle(n);
-        let answers = assert_executors_agree(&g);
+        let answers = assert_executors_agree(&g, &[1, 4]);
         assert_eq!(answers.len(), catalan(n - 2), "C{n}");
         if n <= 6 {
             let oracle = BruteForce::minimal_triangulations(&g);
@@ -124,7 +139,7 @@ fn cycles_yield_catalan_many_results() {
 #[test]
 fn executors_agree_on_chained_cycles() {
     for shape in [&[4usize, 6][..], &[4, 5, 6], &[5, 5]] {
-        let answers = assert_executors_agree(&chained_cycles(shape));
+        let answers = assert_executors_agree(&chained_cycles(shape), &[1, 4]);
         let expected: usize = shape.iter().map(|&len| catalan(len - 2)).product();
         assert_eq!(answers.len(), expected, "{shape:?}");
     }
