@@ -2,9 +2,9 @@
 //!
 //! Every stream the engine serves deposits one observation here, keyed
 //! the same way sessions are: `(atom fingerprint, backend)`. Completed
-//! live enumerations feed t-digest latency distributions (first-result
-//! delay, mean inter-result gap) plus exact totals (results, `Extend`
-//! calls, wall time); replays and hydrations bump hit counters. Two
+//! live enumerations feed two latency distributions (first-result delay,
+//! mean inter-result gap) plus exact totals (results, `Extend` calls,
+//! wall time); replays and hydrations bump hit counters. Two
 //! readers: operators (`/v1/stats`, `/v1/metrics`, store snapshots) and
 //! the server's default timeout, which arms a deadline for graphs whose
 //! [`Profiler::predict`]ed wall is known to be slow.
@@ -14,212 +14,34 @@
 //! proof and why a corrupt or missing snapshot is only ever a cold
 //! start.
 //!
+//! The distributions are telemetry's log-bucket [`HistogramSnapshot`],
+//! the workspace's one quantile sketch: plain counts under the
+//! profiler's mutex, merged by adding buckets. Its quantiles are
+//! one-octave estimates, and values above 2^26 µs (about 67 s) report
+//! as 2^26 µs. The exact totals, not the sketch, drive the predicted
+//! wall.
+//!
 //! Profiles persist as [`ProfileSnapshot`] entries (kind 4) in the
 //! `mintri-store` tier, so a restarted process keeps its history.
 
-use mintri_store::{DigestSnapshot, ProfileSnapshot, Store};
-use mintri_telemetry::{Counter, Gauge};
+use crate::telemetry::EngineTelemetry;
+use mintri_store::{ProfileSnapshot, Store};
+use mintri_telemetry::HistogramSnapshot;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Buffered observations before a digest re-compresses.
-const DIGEST_BUFFER: usize = 32;
-/// t-digest compression: higher keeps more centroids (finer tails).
-const COMPRESSION: f64 = 64.0;
 /// Counter-only updates (replay/hydrate hits) between persists.
 const PERSIST_EVERY: u32 = 32;
 
-/// One weighted cluster of nearby observations.
-#[derive(Debug, Clone, Copy)]
-struct Centroid {
-    mean: f64,
-    weight: u64,
-}
-
-/// A small merging t-digest: observations buffer up and periodically
-/// merge into a bounded centroid list, tight at the tails (the
-/// `q(1-q)` size bound), so `p50`/`p99` stay accurate at a fixed
-/// memory cost. Good enough for operators; not for billing.
-#[derive(Debug, Clone, Default)]
-pub struct TDigest {
-    centroids: Vec<Centroid>,
-    buffer: Vec<f64>,
-    count: u64,
-    min: f64,
-    max: f64,
-}
-
-impl TDigest {
-    /// Folds one observation in (amortized O(1)).
-    pub fn record(&mut self, v: f64) {
-        if !v.is_finite() {
-            return;
-        }
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
-        self.count += 1;
-        self.buffer.push(v);
-        if self.buffer.len() >= DIGEST_BUFFER {
-            self.compress();
-        }
-    }
-
-    /// Observations folded in so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    fn compress(&mut self) {
-        if self.buffer.is_empty() {
-            return;
-        }
-        let mut pts: Vec<Centroid> = std::mem::take(&mut self.centroids);
-        pts.extend(
-            self.buffer
-                .drain(..)
-                .map(|v| Centroid { mean: v, weight: 1 }),
-        );
-        pts.sort_by(|a, b| a.mean.total_cmp(&b.mean));
-        let total: u64 = pts.iter().map(|c| c.weight).sum();
-        let mut out: Vec<Centroid> = Vec::with_capacity(pts.len().min(64));
-        let mut acc = pts[0];
-        let mut seen = 0u64; // weight already sealed into `out`
-        for &c in &pts[1..] {
-            let projected = acc.weight + c.weight;
-            let q = (seen as f64 + projected as f64 / 2.0) / total as f64;
-            let limit = (4.0 * total as f64 * q * (1.0 - q) / COMPRESSION).max(1.0);
-            if projected as f64 <= limit {
-                acc.mean =
-                    (acc.mean * acc.weight as f64 + c.mean * c.weight as f64) / projected as f64;
-                acc.weight = projected;
-            } else {
-                seen += acc.weight;
-                out.push(acc);
-                acc = c;
-            }
-        }
-        out.push(acc);
-        self.centroids = out;
-    }
-
-    /// The `q`-quantile estimate (`0.0 ≤ q ≤ 1.0`), `None` when empty.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        self.compress();
-        if self.count == 0 {
-            return None;
-        }
-        if q <= 0.0 {
-            return Some(self.min);
-        }
-        if q >= 1.0 {
-            return Some(self.max);
-        }
-        let target = q * self.count as f64;
-        let mut cum = 0.0;
-        for (i, c) in self.centroids.iter().enumerate() {
-            let w = c.weight as f64;
-            if cum + w >= target {
-                // Interpolate inside this centroid against its neighbor.
-                let prev_mean = if i == 0 {
-                    self.min
-                } else {
-                    self.centroids[i - 1].mean
-                };
-                let frac = ((target - cum) / w).clamp(0.0, 1.0);
-                return Some(prev_mean + (c.mean - prev_mean) * frac);
-            }
-            cum += w;
-        }
-        Some(self.max)
-    }
-
-    /// Weighted mean of everything recorded.
-    pub fn mean(&mut self) -> Option<f64> {
-        self.compress();
-        if self.count == 0 {
-            return None;
-        }
-        let sum: f64 = self
-            .centroids
-            .iter()
-            .map(|c| c.mean * c.weight as f64)
-            .sum();
-        Some(sum / self.count as f64)
-    }
-
-    /// The store-portable image (flushes the buffer first).
-    pub fn snapshot(&mut self) -> DigestSnapshot {
-        self.compress();
-        DigestSnapshot {
-            centroids: self
-                .centroids
-                .iter()
-                .map(|c| (c.mean.to_bits(), c.weight))
-                .collect(),
-            count: self.count,
-            min_bits: self.min.to_bits(),
-            max_bits: self.max.to_bits(),
-        }
-    }
-
-    /// Rebuilds from a store image, dropping non-finite or zero-weight
-    /// centroids (a hostile snapshot can mis-report, never crash).
-    pub fn from_snapshot(snap: &DigestSnapshot) -> TDigest {
-        let centroids: Vec<Centroid> = snap
-            .centroids
-            .iter()
-            .map(|&(bits, weight)| Centroid {
-                mean: f64::from_bits(bits),
-                weight,
-            })
-            .filter(|c| c.mean.is_finite() && c.weight > 0)
-            .collect();
-        let count = centroids.iter().map(|c| c.weight).sum();
-        let min = f64::from_bits(snap.min_bits);
-        let max = f64::from_bits(snap.max_bits);
-        let mut d = TDigest {
-            centroids,
-            buffer: Vec::new(),
-            count,
-            min: if min.is_finite() { min } else { 0.0 },
-            max: if max.is_finite() { max } else { 0.0 },
-        };
-        d.centroids.sort_by(|a, b| a.mean.total_cmp(&b.mean));
-        d
-    }
-
-    /// Folds another digest's centroids into this one (weighted merge,
-    /// then one recompression).
-    fn absorb(&mut self, other: &TDigest) {
-        self.centroids.extend(other.centroids.iter().copied());
-        if other.count > 0 {
-            if self.count == 0 {
-                self.min = other.min;
-                self.max = other.max;
-            } else {
-                self.min = self.min.min(other.min);
-                self.max = self.max.max(other.max);
-            }
-        }
-        self.count += other.count;
-        self.compress();
-    }
-}
-
 /// What the engine learned about one `(atom, backend)` pair.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct AtomProfile {
     /// Node count of the atom (context for human readers of `/v1/stats`).
     pub nodes: u32,
     /// First-result latency of completed live runs, µs.
-    pub first_us: TDigest,
+    pub first_us: HistogramSnapshot,
     /// Mean inter-result gap per completed live run, µs.
-    pub gap_us: TDigest,
+    pub gap_us: HistogramSnapshot,
     /// Completed live enumerations folded in.
     pub live_runs: u64,
     /// Results across those runs.
@@ -246,18 +68,13 @@ impl AtomProfile {
         (self.live_runs > 0).then(|| self.results_total / self.live_runs)
     }
 
-    /// `Extend` invocations per emitted result (×1000, integer).
-    pub fn extends_per_result_milli(&self) -> Option<u64> {
-        (self.results_total > 0).then(|| self.extends_total * 1000 / self.results_total)
-    }
-
-    fn snapshot(&mut self, fingerprint: u64, backend: &str) -> ProfileSnapshot {
+    fn snapshot(&self, fingerprint: u64, backend: &str) -> ProfileSnapshot {
         ProfileSnapshot {
             fingerprint,
             backend: backend.to_string(),
             nodes: self.nodes,
-            first_us: self.first_us.snapshot(),
-            gap_us: self.gap_us.snapshot(),
+            first_us: self.first_us,
+            gap_us: self.gap_us,
             live_runs: self.live_runs,
             results_total: self.results_total,
             extends_total: self.extends_total,
@@ -267,11 +84,10 @@ impl AtomProfile {
         }
     }
 
-    fn absorb_snapshot(&mut self, snap: &ProfileSnapshot) {
+    fn merge(&mut self, snap: &ProfileSnapshot) {
         self.nodes = self.nodes.max(snap.nodes);
-        self.first_us
-            .absorb(&TDigest::from_snapshot(&snap.first_us));
-        self.gap_us.absorb(&TDigest::from_snapshot(&snap.gap_us));
+        self.first_us.merge(&snap.first_us);
+        self.gap_us.merge(&snap.gap_us);
         self.live_runs += snap.live_runs;
         self.results_total += snap.results_total;
         self.extends_total += snap.extends_total;
@@ -300,7 +116,7 @@ pub struct RunRecord {
     /// How the stream was served.
     pub kind: RunKind,
     /// Whether the enumeration ran to completion (budgeted/cancelled
-    /// runs never update the digests — a truncated wall would teach the
+    /// runs never update the histograms — a truncated wall would teach the
     /// profile that hard atoms are cheap).
     pub completed: bool,
     /// Results the stream emitted.
@@ -323,7 +139,7 @@ pub struct ProfileView {
     pub backend: &'static str,
     /// Node count of the atom.
     pub nodes: u32,
-    /// Completed live runs folded into the digests.
+    /// Completed live runs folded into the histograms.
     pub live_runs: u64,
     /// Replay-cache hits.
     pub replay_hits: u64,
@@ -345,20 +161,6 @@ pub struct ProfileView {
     pub gap_us_p50: u64,
 }
 
-/// Metric handles the profiler bumps (write-only from hot paths, per
-/// the telemetry invariant).
-#[derive(Clone)]
-pub struct ProfilerInstruments {
-    /// Run observations folded in.
-    pub runs_recorded: Arc<Counter>,
-    /// Snapshots written to the store tier.
-    pub persists: Arc<Counter>,
-    /// Profiles warmed from a store snapshot.
-    pub hydrates: Arc<Counter>,
-    /// Distinct `(atom, backend)` profiles held in RAM.
-    pub entries: Arc<Gauge>,
-}
-
 struct Slot {
     profile: AtomProfile,
     /// The disk tier was already consulted for this key (hit or miss) —
@@ -371,37 +173,33 @@ struct Slot {
 /// The engine-wide profile table. One mutex: every touch is a handful
 /// of integer folds on an already-finished stream, never on the
 /// enumeration hot path itself.
-#[derive(Default)]
 pub struct Profiler {
     inner: Mutex<HashMap<(u64, &'static str), Slot>>,
-    instruments: Option<ProfilerInstruments>,
+    /// The engine's metric handles; the profiler bumps the `profile_*`
+    /// family (write-only, per the telemetry invariant).
+    telemetry: Arc<EngineTelemetry>,
 }
 
 impl Profiler {
-    /// An uninstrumented profiler (tests, `run_local`-style embedding).
-    pub fn new() -> Profiler {
-        Profiler::default()
-    }
-
-    /// Attaches metric handles; every later fold bumps them.
-    pub fn instrumented(mut self, instruments: ProfilerInstruments) -> Profiler {
-        self.instruments = Some(instruments);
-        self
+    /// An empty profiler reporting into `telemetry`.
+    pub fn new(telemetry: Arc<EngineTelemetry>) -> Profiler {
+        Profiler {
+            inner: Mutex::default(),
+            telemetry,
+        }
     }
 
     /// Ensures a slot exists, probing the disk tier exactly once per
     /// key. Caller holds the lock.
     fn warm_slot<'a>(
         map: &'a mut HashMap<(u64, &'static str), Slot>,
-        instruments: &Option<ProfilerInstruments>,
+        telemetry: &EngineTelemetry,
         fingerprint: u64,
         backend: &'static str,
         store: Option<&Store>,
     ) -> &'a mut Slot {
         let slot = map.entry((fingerprint, backend)).or_insert_with(|| {
-            if let Some(i) = instruments {
-                i.entries.add(1);
-            }
+            telemetry.profile_entries.add(1);
             Slot {
                 profile: AtomProfile::default(),
                 probed: false,
@@ -410,20 +208,16 @@ impl Profiler {
         });
         if !slot.probed {
             slot.probed = true;
-            if let Some(store) = store {
-                if let Some(snap) = store.load_profile(fingerprint, backend) {
-                    slot.profile.absorb_snapshot(&snap);
-                    if let Some(i) = instruments {
-                        i.hydrates.inc();
-                    }
-                }
+            if let Some(snap) = store.and_then(|s| s.load_profile(fingerprint, backend)) {
+                slot.profile.merge(&snap);
+                telemetry.profile_hydrates.inc();
             }
         }
         slot
     }
 
     /// Folds one finished stream in. Completed live runs update the
-    /// digests and persist immediately; replay/hydrate hits persist
+    /// histograms and persist immediately; replay/hydrate hits persist
     /// every `PERSIST_EVERY`th fold (counters are cheap to lose).
     pub fn record_run(
         &self,
@@ -434,7 +228,7 @@ impl Profiler {
         store: Option<&Store>,
     ) {
         let mut map = self.inner.lock().unwrap();
-        let slot = Self::warm_slot(&mut map, &self.instruments, fingerprint, backend, store);
+        let slot = Self::warm_slot(&mut map, &self.telemetry, fingerprint, backend, store);
         let profile = &mut slot.profile;
         profile.nodes = profile.nodes.max(nodes);
         let mut persist = false;
@@ -442,10 +236,10 @@ impl Profiler {
             RunKind::Live => {
                 if run.completed {
                     if let Some(first) = run.first_us {
-                        profile.first_us.record(first as f64);
+                        profile.first_us.record(first);
                         if run.results > 1 {
                             let gap = run.wall_us.saturating_sub(first) / (run.results - 1);
-                            profile.gap_us.record(gap as f64);
+                            profile.gap_us.record(gap);
                         }
                     }
                     profile.live_runs += 1;
@@ -458,9 +252,7 @@ impl Profiler {
             RunKind::Replay => profile.replay_hits += 1,
             RunKind::Hydrate => profile.hydrate_hits += 1,
         }
-        if let Some(i) = &self.instruments {
-            i.runs_recorded.inc();
-        }
+        self.telemetry.profile_runs_recorded.inc();
         if !persist {
             slot.unsaved += 1;
             if slot.unsaved >= PERSIST_EVERY {
@@ -471,9 +263,7 @@ impl Profiler {
             slot.unsaved = 0;
             if let Some(store) = store {
                 store.put_profile(&slot.profile.snapshot(fingerprint, backend));
-                if let Some(i) = &self.instruments {
-                    i.persists.inc();
-                }
+                self.telemetry.profile_persists.inc();
             }
         }
     }
@@ -489,18 +279,18 @@ impl Profiler {
         store: Option<&Store>,
     ) -> Option<u64> {
         let mut map = self.inner.lock().unwrap();
-        let slot = Self::warm_slot(&mut map, &self.instruments, fingerprint, backend, store);
+        let slot = Self::warm_slot(&mut map, &self.telemetry, fingerprint, backend, store);
         slot.profile.predicted_wall_us()
     }
 
     /// Every profile held in RAM, sorted by predicted wall descending
     /// (the rows an operator wants first). For `/v1/stats`.
     pub fn views(&self) -> Vec<ProfileView> {
-        let mut map = self.inner.lock().unwrap();
+        let map = self.inner.lock().unwrap();
         let mut rows: Vec<ProfileView> = map
-            .iter_mut()
+            .iter()
             .map(|(&(fingerprint, backend), slot)| {
-                let p = &mut slot.profile;
+                let p = &slot.profile;
                 ProfileView {
                     fingerprint,
                     backend,
@@ -512,9 +302,9 @@ impl Profiler {
                     extends_total: p.extends_total,
                     predicted_wall_us: p.predicted_wall_us().unwrap_or(0),
                     predicted_results: p.predicted_results().unwrap_or(0),
-                    first_us_p50: p.first_us.quantile(0.5).unwrap_or(0.0) as u64,
-                    first_us_p99: p.first_us.quantile(0.99).unwrap_or(0.0) as u64,
-                    gap_us_p50: p.gap_us.quantile(0.5).unwrap_or(0.0) as u64,
+                    first_us_p50: p.first_us.p50().unwrap_or(0),
+                    first_us_p99: p.first_us.p99().unwrap_or(0),
+                    gap_us_p50: p.gap_us.p50().unwrap_or(0),
                 }
             })
             .collect();
@@ -524,16 +314,6 @@ impl Profiler {
                 .then(a.fingerprint.cmp(&b.fingerprint))
         });
         rows
-    }
-
-    /// Distinct `(atom, backend)` profiles held.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len()
-    }
-
-    /// `true` when nothing has been learned yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -552,59 +332,77 @@ mod tests {
         }
     }
 
+    fn profiler() -> Profiler {
+        Profiler::new(Arc::new(EngineTelemetry::new(Arc::new(
+            mintri_telemetry::Registry::new(),
+        ))))
+    }
+
+    /// The histogram's accuracy: an estimate lies in the power-of-two
+    /// bucket `(2^(i-1), 2^i]` that holds the true value, bounds included.
+    fn assert_within_octave(estimate: u64, truth: u64) {
+        let i = mintri_telemetry::bucket_index(truth);
+        let lower = if i == 0 { 0 } else { 1u64 << (i - 1) };
+        let upper = mintri_telemetry::bucket_le(i).unwrap();
+        assert!(
+            (lower..=upper).contains(&estimate),
+            "estimate {estimate} outside ({lower}, {upper}] holding {truth}"
+        );
+    }
+
     #[test]
-    fn digest_quantiles_track_a_uniform_stream() {
-        let mut d = TDigest::default();
+    fn profile_quantiles_track_a_uniform_stream() {
+        let profiler = profiler();
         for i in 0..1000 {
-            d.record(i as f64);
+            // Two results each, so every run also records a gap of 2·i.
+            profiler.record_run(3, "mcs-m", 6, live(2, i, 3 * i, 1), None);
         }
-        assert_eq!(d.count(), 1000);
-        let p50 = d.quantile(0.5).unwrap();
-        assert!((400.0..600.0).contains(&p50), "p50 was {p50}");
-        let p99 = d.quantile(0.99).unwrap();
-        assert!((960.0..=999.0).contains(&p99), "p99 was {p99}");
-        assert_eq!(d.quantile(0.0), Some(0.0));
-        assert_eq!(d.quantile(1.0), Some(999.0));
-        // Bounded memory: far fewer centroids than observations. The
-        // q(1-q) size bound keeps both tails as weight-1 singletons, so
-        // the count sits well above COMPRESSION but grows only
-        // logarithmically with the stream length.
-        assert!(d.centroids.len() < 256, "{} centroids", d.centroids.len());
+        let views = profiler.views();
+        assert_eq!(views[0].live_runs, 1000);
+        assert_within_octave(views[0].first_us_p50, 500);
+        assert_within_octave(views[0].first_us_p99, 990);
+        assert_within_octave(views[0].gap_us_p50, 1000);
     }
 
     #[test]
-    fn digest_snapshot_round_trips_summary_statistics() {
-        let mut d = TDigest::default();
+    fn profile_snapshot_round_trips_the_histograms() {
+        let mut profile = AtomProfile::default();
         for i in 0..500 {
-            d.record((i % 97) as f64);
+            profile.first_us.record(i % 97);
+            profile.gap_us.record(i % 13);
         }
-        let snap = d.snapshot();
-        let mut back = TDigest::from_snapshot(&snap);
-        assert_eq!(back.count(), d.count());
-        let (a, b) = (d.quantile(0.9).unwrap(), back.quantile(0.9).unwrap());
-        assert!((a - b).abs() < 1e-9, "p90 drifted: {a} vs {b}");
+        profile.live_runs = 500;
+        let mut back = AtomProfile::default();
+        back.merge(&profile.snapshot(1, "mcs-m"));
+        assert_eq!(back.first_us, profile.first_us);
+        assert_eq!(back.gap_us, profile.gap_us);
+        assert_eq!(back.first_us.quantile(0.9), profile.first_us.quantile(0.9));
+        assert_within_octave(back.first_us.quantile(0.9).unwrap(), 87);
     }
 
     #[test]
-    fn hostile_digest_snapshot_is_sanitized() {
-        let snap = DigestSnapshot {
-            centroids: vec![
-                (f64::NAN.to_bits(), 5),
-                (10.0f64.to_bits(), 0),
-                (3.0f64.to_bits(), 2),
-            ],
-            count: 99, // lies; rebuilt from surviving weights
-            min_bits: f64::INFINITY.to_bits(),
-            max_bits: 3.0f64.to_bits(),
-        };
-        let mut d = TDigest::from_snapshot(&snap);
-        assert_eq!(d.count(), 2, "only the finite, weighted centroid survives");
-        assert!(d.quantile(0.5).unwrap().is_finite());
+    fn a_rehydrated_profile_merges_with_runs_recorded_since() {
+        let mut persisted = AtomProfile::default();
+        let mut warm = AtomProfile::default();
+        let mut one = AtomProfile::default();
+        for v in [3u64, 40, 41, 700] {
+            persisted.first_us.record(v);
+            one.first_us.record(v);
+        }
+        for v in [5u64, 9_000, 1 << 30] {
+            warm.first_us.record(v);
+            one.first_us.record(v);
+        }
+        warm.merge(&persisted.snapshot(1, "mcs-m"));
+        assert_eq!(warm.first_us, one.first_us);
+        assert_eq!(warm.first_us.count(), 7);
+        // Past the last finite boundary a value reports as 2^26 µs.
+        assert_eq!(warm.first_us.quantile(1.0), Some(1 << 26));
     }
 
     #[test]
     fn completed_live_runs_drive_predictions_and_persist() {
-        let profiler = Profiler::new();
+        let profiler = profiler();
         assert!(
             profiler.predict(7, "mcs-m", None).is_none(),
             "cold = unknown"
@@ -618,8 +416,8 @@ mod tests {
     }
 
     #[test]
-    fn incomplete_and_replay_runs_never_touch_the_digests() {
-        let profiler = Profiler::new();
+    fn incomplete_and_replay_runs_never_touch_the_histograms() {
+        let profiler = profiler();
         profiler.record_run(
             1,
             "mcs-m",
@@ -668,21 +466,30 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Store::open(StoreConfig::at(&dir)).unwrap();
-        {
-            let profiler = Profiler::new();
+        let before = {
+            let profiler = profiler();
             profiler.record_run(42, "mcs-m", 8, live(20, 200, 2_200, 100), Some(&store));
+            profiler.record_run(42, "mcs-m", 8, live(20, 3_000, 9_000, 100), Some(&store));
             store.flush();
-        }
+            profiler.views().remove(0)
+        };
         // A fresh profiler (fresh process) predicts from disk.
-        let profiler = Profiler::new();
-        assert_eq!(profiler.predict(42, "mcs-m", Some(&store)), Some(2_200));
-        assert_eq!(profiler.views()[0].predicted_results, 20);
+        let profiler = profiler();
+        assert_eq!(profiler.predict(42, "mcs-m", Some(&store)), Some(5_600));
+        let after = profiler.views().remove(0);
+        assert_eq!(after.predicted_results, 20);
+        assert_eq!(
+            (after.first_us_p50, after.first_us_p99, after.gap_us_p50),
+            (before.first_us_p50, before.first_us_p99, before.gap_us_p50),
+            "the latency quantiles survive the store round trip"
+        );
+        assert!(after.first_us_p99 > after.first_us_p50);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn views_sort_hot_atoms_first() {
-        let profiler = Profiler::new();
+        let profiler = profiler();
         profiler.record_run(1, "mcs-m", 4, live(5, 10, 100, 9), None);
         profiler.record_run(2, "mcs-m", 9, live(50, 40, 9_000, 400), None);
         let views = profiler.views();

@@ -18,7 +18,7 @@
 //! — including queries on *different* graphs sharing an atom — is a
 //! cache replay (or at worst a warm-memo rerun).
 
-use crate::profile::{ProfileView, Profiler, ProfilerInstruments, RunKind, RunRecord};
+use crate::profile::{ProfileView, Profiler, RunKind, RunRecord};
 use crate::telemetry::EngineTelemetry;
 use crate::EngineConfig;
 use mintri_core::dispatch::{self, Executor, RankedMetrics};
@@ -258,10 +258,10 @@ pub(crate) struct EngineEnumeration {
     /// The engine's stream-lifetime histogram. Recording happens once,
     /// at drop — two clock reads per stream total, so the always-on
     /// metric cannot perturb per-result delay.
-    wall: Option<Arc<Histogram>>,
+    wall: Arc<Histogram>,
     /// The cost-profile deposit made at drop: how this stream was
     /// served plus the counters observed while streaming.
-    profile: Option<ProfileCapture>,
+    profile: ProfileCapture,
     /// Keeps the query token's abort hook registered for exactly this
     /// stream's lifetime — dropping the stream deregisters it, so a
     /// long-lived token does not accumulate hooks from finished runs.
@@ -290,39 +290,36 @@ struct ProfileCapture {
 
 impl Drop for EngineEnumeration {
     fn drop(&mut self) {
-        if let Some(wall) = self.wall.take() {
-            wall.record_duration(self.created.elapsed());
-        }
-        if let Some(p) = self.profile.take() {
-            let wall_us = self.created.elapsed().as_micros() as u64;
-            let extends = (self.session.stats().extends as u64).saturating_sub(p.extends_start);
-            p.profiler.record_run(
-                p.fingerprint,
-                p.backend,
-                p.nodes,
-                RunRecord {
-                    kind: p.kind,
-                    completed: p.completed,
-                    results: p.results,
-                    first_us: p.first_us,
-                    wall_us,
-                    extends,
-                },
-                p.store.as_deref(),
-            );
-        }
+        // One clock read, so the histogram and the profile see one wall.
+        let wall = self.created.elapsed();
+        self.wall.record_duration(wall);
+        let p = &self.profile;
+        let extends = (self.session.stats().extends as u64).saturating_sub(p.extends_start);
+        p.profiler.record_run(
+            p.fingerprint,
+            p.backend,
+            p.nodes,
+            RunRecord {
+                kind: p.kind,
+                completed: p.completed,
+                results: p.results,
+                first_us: p.first_us,
+                wall_us: wall.as_micros() as u64,
+                extends,
+            },
+            p.store.as_deref(),
+        );
     }
 }
 
 impl EngineEnumeration {
     fn next_pair(&mut self) -> Option<(Vec<SepId>, Triangulation)> {
         let pair = self.next_pair_inner();
-        if let Some(p) = &mut self.profile {
-            if pair.is_some() {
-                p.results += 1;
-                if p.first_us.is_none() {
-                    p.first_us = Some(self.created.elapsed().as_micros() as u64);
-                }
+        if pair.is_some() {
+            let p = &mut self.profile;
+            p.results += 1;
+            if p.first_us.is_none() {
+                p.first_us = Some(self.created.elapsed().as_micros() as u64);
             }
         }
         pair
@@ -378,9 +375,7 @@ impl EngineEnumeration {
         if let Some((key, rec)) = self.recorded.take() {
             // A deposit is the proof of natural completion — the only
             // observation allowed to teach the profile a full wall.
-            if let Some(p) = &mut self.profile {
-                p.completed = true;
-            }
+            self.profile.completed = true;
             let answers = self.session.store_answers(key, rec);
             if let Some((store, spills)) = &self.spill {
                 store.put_answers(&answer_snapshot(&self.session, key, &answers), true);
@@ -398,11 +393,7 @@ impl EngineEnumeration {
     /// (distinguishes a RAM replay from a disk hydration, which
     /// `is_replay` deliberately conflates).
     fn served_kind(&self) -> RunKind {
-        match &self.profile {
-            Some(p) => p.kind,
-            None if self.is_replay() => RunKind::Replay,
-            None => RunKind::Live,
-        }
+        self.profile.kind
     }
 }
 
@@ -468,8 +459,9 @@ pub struct Engine {
     /// and spill back to it on completion and eviction. `None` keeps
     /// every prior engine behavior bit for bit.
     store: Option<Arc<Store>>,
-    /// Registered metric handles (and the registry they live in).
-    telemetry: EngineTelemetry,
+    /// Registered metric handles (and the registry they live in),
+    /// shared with the profiler.
+    telemetry: Arc<EngineTelemetry>,
     /// The learned per-atom cost profiles (observability and the
     /// server's default timeout; dispatch never reads them).
     /// Engine-lived (profiles outlive session eviction) and persisted
@@ -564,13 +556,8 @@ impl Engine {
 
     /// Engine with an explicit configuration.
     pub fn with_config(config: EngineConfig) -> Self {
-        let telemetry = EngineTelemetry::new(Arc::new(Registry::new()));
-        let profiler = Arc::new(Profiler::new().instrumented(ProfilerInstruments {
-            runs_recorded: Arc::clone(&telemetry.profile_runs_recorded),
-            persists: Arc::clone(&telemetry.profile_persists),
-            hydrates: Arc::clone(&telemetry.profile_hydrates),
-            entries: Arc::clone(&telemetry.profile_entries),
-        }));
+        let telemetry = Arc::new(EngineTelemetry::new(Arc::new(Registry::new())));
+        let profiler = Arc::new(Profiler::new(Arc::clone(&telemetry)));
         Engine {
             config,
             sessions: Mutex::new(SessionStore::default()),
@@ -998,7 +985,7 @@ impl Engine {
                 recorded: None,
                 spill: None,
                 created: Instant::now(),
-                wall: Some(Arc::clone(&self.telemetry.stream_wall_us)),
+                wall: Arc::clone(&self.telemetry.stream_wall_us),
                 #[cfg(feature = "parallel")]
                 _cancel_hook: None,
             };
@@ -1081,7 +1068,7 @@ impl Engine {
                 recorded: None,
                 spill: None,
                 created: Instant::now(),
-                wall: Some(Arc::clone(&self.telemetry.stream_wall_us)),
+                wall: Arc::clone(&self.telemetry.stream_wall_us),
                 #[cfg(feature = "parallel")]
                 _cancel_hook: None,
             });
@@ -1121,7 +1108,7 @@ impl Engine {
                 recorded: Some((key, Vec::new())),
                 spill: self.spill_handle(),
                 created: Instant::now(),
-                wall: Some(Arc::clone(&self.telemetry.stream_wall_us)),
+                wall: Arc::clone(&self.telemetry.stream_wall_us),
                 _cancel_hook: cancel_hook,
             };
         }
@@ -1148,7 +1135,7 @@ impl Engine {
             recorded: Some((AnswerKey::Ordered(mode), Vec::new())),
             spill: self.spill_handle(),
             created: Instant::now(),
-            wall: Some(Arc::clone(&self.telemetry.stream_wall_us)),
+            wall: Arc::clone(&self.telemetry.stream_wall_us),
             #[cfg(feature = "parallel")]
             _cancel_hook: None,
         }
@@ -1164,8 +1151,8 @@ impl Engine {
 
     /// The cost-profile deposit every engine stream carries: recorded at
     /// drop, keyed like the session it serves.
-    fn capture(&self, session: &Arc<GraphSession>, kind: RunKind) -> Option<ProfileCapture> {
-        Some(ProfileCapture {
+    fn capture(&self, session: &Arc<GraphSession>, kind: RunKind) -> ProfileCapture {
+        ProfileCapture {
             profiler: Arc::clone(&self.profiler),
             store: self.store.clone(),
             fingerprint: graph_fingerprint(&session.graph),
@@ -1176,7 +1163,7 @@ impl Engine {
             first_us: None,
             extends_start: session.stats().extends as u64,
             completed: false,
-        })
+        }
     }
 }
 

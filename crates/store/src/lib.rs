@@ -22,7 +22,10 @@
 //!   unbounded channel and return immediately; one worker thread owns
 //!   every file write. A query never blocks on `fsync` (and by default
 //!   the worker doesn't fsync either — crash-safety comes from
-//!   publication, not durability-at-all-costs).
+//!   publication, not durability-at-all-costs). Until the worker has
+//!   handled a put or remove, its bytes (or its tombstone) wait in a
+//!   pending map that every load consults first, so a load always sees
+//!   the latest put or remove made before it.
 //! * **Crash-safe publication.** The worker writes `.name.tmp` in the
 //!   destination directory, then `rename`s over the final name —
 //!   readers see the old complete file or the new complete file, never
@@ -36,19 +39,23 @@
 //!   serving layers can ask [`Store::would_exceed_budget`] *before*
 //!   accepting an upload.
 //!
-//! Zero dependencies; the snapshot payloads speak primitive types only
-//! (vertex lists, not interner ids), which is what makes entries
-//! process- and replica-portable.
+//! The only dependency is the zero-dependency `mintri-telemetry`, whose
+//! histogram snapshot is the profile entry's latency sketch; otherwise
+//! the snapshot payloads speak primitive types only (vertex lists, not
+//! interner ids), which is what makes entries process- and
+//! replica-portable.
 
 mod codec;
 mod snapshot;
 
 pub use codec::{fnv1a64, CodecError};
 pub use snapshot::{
-    AnswerSnapshot, DigestSnapshot, EntryKind, GraphSnapshot, MemoSummary, PlanSnapshot,
-    ProfileSnapshot, StoredOrder, HEADER_LEN, MAGIC, VERSION,
+    AnswerSnapshot, EntryKind, GraphSnapshot, MemoSummary, PlanSnapshot, ProfileSnapshot,
+    StoredOrder, HEADER_LEN, MAGIC, VERSION,
 };
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -115,24 +122,31 @@ struct Counters {
     quarantine_seq: AtomicU64,
 }
 
+/// Enqueued jobs the worker has not handled yet, keyed by
+/// `(subdir, name)`: the bytes of the latest write, or `None` for a
+/// removal. The `u64` is the job's sequence number, so the worker drops
+/// an entry only when the job it just handled is still the latest one
+/// for that key.
+type Pending = HashMap<(&'static str, String), (u64, Option<Arc<[u8]>>)>;
+
 /// State shared between the front (`&self` API) and the worker thread.
 struct Shared {
     root: PathBuf,
     max_disk_bytes: Option<u64>,
     fsync: bool,
     counters: Counters,
+    pending: Mutex<Pending>,
 }
 
 enum Job {
-    Write {
+    /// Publish `bytes` as `subdir/name`, or unpublish that entry when
+    /// `bytes` is `None`; `seq` names the change in the pending map.
+    Change {
+        seq: u64,
         subdir: &'static str,
         name: String,
-        bytes: Vec<u8>,
+        bytes: Option<Arc<[u8]>>,
         overwrite: bool,
-    },
-    Remove {
-        subdir: &'static str,
-        name: String,
     },
     /// Barrier: ack once every job enqueued before it has been handled.
     Flush(mpsc::SyncSender<()>),
@@ -154,6 +168,8 @@ pub struct Store {
     shared: Arc<Shared>,
     tx: Option<mpsc::Sender<Job>>,
     worker: Mutex<Option<thread::JoinHandle<()>>>,
+    /// Sequence number of the next write or remove.
+    next_seq: AtomicU64,
 }
 
 impl Store {
@@ -166,6 +182,7 @@ impl Store {
             max_disk_bytes: config.max_disk_bytes,
             fsync: config.fsync,
             counters: Counters::default(),
+            pending: Mutex::new(HashMap::new()),
         });
         let mut entries = 0u64;
         let mut bytes = 0u64;
@@ -211,13 +228,27 @@ impl Store {
                 // still delivered before the Err, so a clean drop
                 // flushes.
                 while let Ok(job) = rx.recv() {
-                    handle_job(&worker_shared, job);
+                    handle_job(&worker_shared, &job);
+                    if let Job::Change {
+                        seq, subdir, name, ..
+                    } = job
+                    {
+                        // Handled (published, skipped or failed): loads go
+                        // to disk again, unless a later change to the same
+                        // entry is already pending.
+                        let mut pending = worker_shared.pending.lock().unwrap();
+                        let key = (subdir, name);
+                        if pending.get(&key).is_some_and(|&(latest, _)| latest == seq) {
+                            pending.remove(&key);
+                        }
+                    }
                 }
             })?;
         Ok(Store {
             shared,
             tx: Some(tx),
             worker: Mutex::new(Some(worker)),
+            next_seq: AtomicU64::new(0),
         })
     }
 
@@ -232,17 +263,53 @@ impl Store {
         let _ = self.tx.as_ref().expect("store worker running").send(job);
     }
 
+    /// Enqueues a write or (with `bytes = None`) a removal of
+    /// `subdir/name`, recording it as pending first so loads see it at
+    /// once. The pending lock is held across the send: the worker then
+    /// cannot handle the job before it is recorded.
+    fn enqueue_change(
+        &self,
+        subdir: &'static str,
+        name: String,
+        bytes: Option<Vec<u8>>,
+        overwrite: bool,
+    ) {
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        let bytes: Option<Arc<[u8]>> = bytes.map(Arc::from);
+        let key = (subdir, name);
+        let mut pending = self.shared.pending.lock().unwrap();
+        // A skip-if-present write only lands where nothing will be by
+        // the time the worker reaches it: a pending removal, or no
+        // pending write and no published file.
+        let lands = overwrite
+            || match pending.get(&key) {
+                Some((_, prior)) => prior.is_none(),
+                None => !self.shared.root.join(subdir).join(&key.1).exists(),
+            };
+        if lands {
+            pending.insert(key.clone(), (seq, bytes.clone()));
+        }
+        let (subdir, name) = key;
+        self.enqueue(Job::Change {
+            seq,
+            subdir,
+            name,
+            bytes,
+            overwrite,
+        });
+    }
+
     /// Persists a completed-answer replay cache (write-behind). With
     /// `overwrite = false` an already-published entry is left alone —
     /// the mode for eviction spills, where a deposit-time write usually
     /// got there first.
     pub fn put_answers(&self, snap: &AnswerSnapshot, overwrite: bool) {
-        self.enqueue(Job::Write {
-            subdir: ANSWERS_DIR,
-            name: answers_name(snap.fingerprint, &snap.backend, snap.order),
-            bytes: snap.encode(),
+        self.enqueue_change(
+            ANSWERS_DIR,
+            answers_name(snap.fingerprint, &snap.backend, snap.order),
+            Some(snap.encode()),
             overwrite,
-        });
+        );
     }
 
     /// Loads the replay cache for `(fingerprint, backend, order)`.
@@ -264,12 +331,12 @@ impl Store {
 
     /// Persists a memoized plan (write-behind; last write wins).
     pub fn put_plan(&self, snap: &PlanSnapshot) {
-        self.enqueue(Job::Write {
-            subdir: PLANS_DIR,
-            name: plan_name(snap.fingerprint),
-            bytes: snap.encode(),
-            overwrite: true,
-        });
+        self.enqueue_change(
+            PLANS_DIR,
+            plan_name(snap.fingerprint),
+            Some(snap.encode()),
+            true,
+        );
     }
 
     /// Loads the plan snapshot for `fingerprint`, with the same
@@ -280,12 +347,7 @@ impl Store {
 
     /// Persists a registry graph under its wire id (write-behind).
     pub fn put_graph(&self, snap: &GraphSnapshot) {
-        self.enqueue(Job::Write {
-            subdir: GRAPHS_DIR,
-            name: graph_name(&snap.id),
-            bytes: snap.encode(),
-            overwrite: true,
-        });
+        self.enqueue_change(GRAPHS_DIR, graph_name(&snap.id), Some(snap.encode()), true);
     }
 
     /// Loads the registry graph published under `id`.
@@ -296,12 +358,12 @@ impl Store {
     /// Persists a learned cost profile (write-behind; last write wins —
     /// the engine always writes its merged view, so newer is better).
     pub fn put_profile(&self, snap: &ProfileSnapshot) {
-        self.enqueue(Job::Write {
-            subdir: PROFILES_DIR,
-            name: profile_name(snap.fingerprint, &snap.backend),
-            bytes: snap.encode(),
-            overwrite: true,
-        });
+        self.enqueue_change(
+            PROFILES_DIR,
+            profile_name(snap.fingerprint, &snap.backend),
+            Some(snap.encode()),
+            true,
+        );
     }
 
     /// Loads the cost profile for `(fingerprint, backend)`, with the
@@ -317,10 +379,7 @@ impl Store {
 
     /// Unpublishes the registry graph under `id` (write-behind).
     pub fn remove_graph(&self, id: &str) {
-        self.enqueue(Job::Remove {
-            subdir: GRAPHS_DIR,
-            name: graph_name(id),
-        });
+        self.enqueue_change(GRAPHS_DIR, graph_name(id), None, true);
     }
 
     /// Blocks until every put/remove enqueued before this call has been
@@ -371,6 +430,9 @@ impl Store {
         }
     }
 
+    /// Reads `subdir/name` — the pending write or removal when the
+    /// worker has not handled it yet, else the published file — and
+    /// decodes it. A corrupt published file is quarantined.
     fn load<T>(
         &self,
         subdir: &'static str,
@@ -379,18 +441,30 @@ impl Store {
     ) -> Option<T> {
         let c = &self.shared.counters;
         c.loads.fetch_add(1, Ordering::Relaxed);
+        let staged = self
+            .shared
+            .pending
+            .lock()
+            .unwrap()
+            .get(&(subdir, name.to_string()))
+            .map(|(_, bytes)| bytes.clone());
         let path = self.shared.root.join(subdir).join(name);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(_) => {
-                c.load_misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+        let bytes = match &staged {
+            Some(staged) => staged.as_deref().map(Cow::Borrowed),
+            None => fs::read(&path).ok().map(Cow::Owned),
+        };
+        let Some(bytes) = bytes else {
+            c.load_misses.fetch_add(1, Ordering::Relaxed);
+            return None;
         };
         match decode(&bytes) {
             Ok(value) => Some(value),
             Err(_) => {
-                self.quarantine(&path, bytes.len() as u64);
+                // Staged bytes come from this process's own encoder:
+                // only a published file can be corrupt.
+                if staged.is_none() {
+                    self.quarantine(&path, bytes.len() as u64);
+                }
                 c.load_misses.fetch_add(1, Ordering::Relaxed);
                 None
             }
@@ -433,17 +507,18 @@ impl Drop for Store {
     }
 }
 
-fn handle_job(shared: &Shared, job: Job) {
+fn handle_job(shared: &Shared, job: &Job) {
     let c = &shared.counters;
     match job {
-        Job::Write {
+        Job::Change {
             subdir,
             name,
-            bytes,
+            bytes: Some(bytes),
             overwrite,
+            ..
         } => {
             let dir = shared.root.join(subdir);
-            let path = dir.join(&name);
+            let path = dir.join(name);
             let old_len = fs::metadata(&path).map(|m| m.len()).ok();
             if !overwrite && old_len.is_some() {
                 c.skipped_writes.fetch_add(1, Ordering::Relaxed);
@@ -458,7 +533,7 @@ fn handle_job(shared: &Shared, job: Job) {
                 }
             }
             let tmp = dir.join(format!(".{name}.tmp"));
-            let published = fs::write(&tmp, &bytes)
+            let published = fs::write(&tmp, bytes)
                 .and_then(|()| {
                     if shared.fsync {
                         fs::File::open(&tmp)?.sync_all()?;
@@ -479,8 +554,13 @@ fn handle_job(shared: &Shared, job: Job) {
                 c.write_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Job::Remove { subdir, name } => {
-            let path = shared.root.join(subdir).join(&name);
+        Job::Change {
+            subdir,
+            name,
+            bytes: None,
+            ..
+        } => {
+            let path = shared.root.join(subdir).join(name);
             if let Ok(meta) = fs::metadata(&path) {
                 if fs::remove_file(&path).is_ok() {
                     c.entries.fetch_sub(1, Ordering::Relaxed);
@@ -682,13 +762,11 @@ mod tests {
             fingerprint: 0xfeed,
             backend: "mcs-m".into(),
             nodes: 7,
-            first_us: DigestSnapshot {
-                centroids: vec![(250.0f64.to_bits(), 2)],
-                count: 2,
-                min_bits: 200.0f64.to_bits(),
-                max_bits: 300.0f64.to_bits(),
+            first_us: mintri_telemetry::HistogramSnapshot {
+                counts: std::array::from_fn(|i| u64::from(i == 8)),
+                sum: 250,
             },
-            gap_us: DigestSnapshot::default(),
+            gap_us: Default::default(),
             live_runs: 2,
             results_total: 10,
             extends_total: 80,
@@ -730,6 +808,75 @@ mod tests {
     }
 
     #[test]
+    fn hostile_profile_files_load_as_quarantined_misses() {
+        let dir = ScratchDir::new("profile-hostile");
+        let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+        let hostile = snapshot::tests::hostile_profile_files();
+        for (i, (name, bytes)) in hostile.iter().enumerate() {
+            let fingerprint = i as u64;
+            let path = dir
+                .0
+                .join(PROFILES_DIR)
+                .join(profile_name(fingerprint, "mcs-m"));
+            fs::write(&path, bytes).unwrap();
+            assert!(
+                store.load_profile(fingerprint, "mcs-m").is_none(),
+                "{name} loaded"
+            );
+            assert!(!path.exists(), "{name} left its address");
+        }
+        assert_eq!(store.stats().corrupt_quarantined, hostile.len() as u64);
+    }
+
+    #[test]
+    fn loads_see_pending_writes_and_removes_without_a_flush() {
+        let dir = ScratchDir::new("pending");
+        let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
+        for i in 0..1_000u32 {
+            let snap = GraphSnapshot {
+                id: format!("g{i}"),
+                nodes: i,
+                edges: vec![(0, 1)],
+            };
+            store.put_graph(&snap);
+            assert_eq!(
+                store.load_graph(&snap.id).as_ref(),
+                Some(&snap),
+                "put {i} unseen"
+            );
+            if i % 10 == 0 {
+                store.remove_graph(&snap.id);
+                assert!(store.load_graph(&snap.id).is_none(), "remove {i} unseen");
+            }
+        }
+        store.flush();
+        assert!(
+            store.shared.pending.lock().unwrap().is_empty(),
+            "handled jobs leave the pending map"
+        );
+        assert_eq!(store.entries(), 900);
+        assert_eq!(store.load_graph("g999").unwrap().nodes, 999);
+        assert!(store.load_graph("g990").is_none());
+    }
+
+    #[test]
+    fn pending_entries_drop_for_writes_skipped_by_the_budget() {
+        let dir = ScratchDir::new("pending-budget");
+        let store = Store::open(StoreConfig {
+            max_disk_bytes: Some(16),
+            ..StoreConfig::at(&dir.0)
+        })
+        .unwrap();
+        store.put_answers(&sample(6), true);
+        store.flush();
+        assert_eq!(store.stats().skipped_writes, 1);
+        assert!(store.shared.pending.lock().unwrap().is_empty());
+        assert!(store
+            .load_answers(6, "mcs-m", StoredOrder::UponGeneration)
+            .is_none());
+    }
+
+    #[test]
     fn no_overwrite_skips_published_entries() {
         let dir = ScratchDir::new("skip");
         let store = Store::open(StoreConfig::at(&dir.0)).unwrap();
@@ -739,6 +886,10 @@ mod tests {
         let mut second = sample(9);
         second.answers.clear(); // a conflicting (worse) spill
         store.put_answers(&second, false);
+        let pending = store
+            .load_answers(9, "mcs-m", StoredOrder::UponGeneration)
+            .unwrap();
+        assert_eq!(pending, first, "a skipped spill never shadows the entry");
         store.flush();
         assert_eq!(store.stats().skipped_writes, 1);
         let loaded = store

@@ -24,6 +24,7 @@
 //! session's interner.
 
 use crate::codec::{fnv1a64, CodecError, Dec, Enc};
+use mintri_telemetry::{HistogramSnapshot, HISTOGRAM_BUCKETS};
 
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"MTST";
@@ -41,7 +42,8 @@ pub enum EntryKind {
     Plan = 2,
     /// One serve-registry graph.
     Graph = 3,
-    /// Learned per-atom runtime statistics (cost profile).
+    /// Learned per-atom runtime statistics (cost profile): exact totals
+    /// plus two log-bucket latency histograms.
     Profile = 4,
 }
 
@@ -165,21 +167,6 @@ pub struct GraphSnapshot {
     pub edges: Vec<(u32, u32)>,
 }
 
-/// A serialized t-digest: merged centroids plus the exact extrema the
-/// engine's digest tracks. Means are `f64::to_bits` images (the varint
-/// codec speaks integers only); weights are observation counts.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DigestSnapshot {
-    /// `(mean_bits, weight)` per centroid, means ascending.
-    pub centroids: Vec<(u64, u64)>,
-    /// Total observations across all centroids.
-    pub count: u64,
-    /// `f64::to_bits` of the smallest observation.
-    pub min_bits: u64,
-    /// `f64::to_bits` of the largest observation.
-    pub max_bits: u64,
-}
-
 /// Learned runtime statistics for one `(atom fingerprint, backend)`
 /// pair — the store-level image of the engine's cost profile.
 ///
@@ -188,6 +175,15 @@ pub struct DigestSnapshot {
 /// default timeout, never answers, so the worst a fingerprint collision
 /// can cost is a misreported row or a mis-sized timeout — the same
 /// price as a cold start.
+///
+/// The two latency distributions are telemetry's log-bucket
+/// [`HistogramSnapshot`]s, stored as a length prefix, the
+/// `HISTOGRAM_BUCKETS` counts and the sum. The decoder checks them
+/// against the totals they were recorded beside (one first-result value
+/// per completed live run at most, one gap per first result at most), so
+/// a file written in another layout — including the t-digest layout of
+/// earlier builds — fails validation and is quarantined: a cold profile,
+/// nothing worse.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileSnapshot {
     /// The atom graph's fingerprint (the disk address).
@@ -197,10 +193,10 @@ pub struct ProfileSnapshot {
     /// Node count of the atom graph (a cheap sanity hint, not a proof).
     pub nodes: u32,
     /// First-result latency distribution, microseconds.
-    pub first_us: DigestSnapshot,
+    pub first_us: HistogramSnapshot,
     /// Inter-result gap distribution, microseconds.
-    pub gap_us: DigestSnapshot,
-    /// Completed live enumerations folded into the digests.
+    pub gap_us: HistogramSnapshot,
+    /// Completed live enumerations folded into the histograms.
     pub live_runs: u64,
     /// Results emitted across those completed live runs.
     pub results_total: u64,
@@ -214,29 +210,28 @@ pub struct ProfileSnapshot {
     pub hydrate_hits: u64,
 }
 
-fn enc_digest(e: &mut Enc, d: &DigestSnapshot) {
-    e.usize(d.centroids.len());
-    for &(mean_bits, weight) in &d.centroids {
-        e.u64(mean_bits);
-        e.u64(weight);
+fn enc_histogram(e: &mut Enc, h: &HistogramSnapshot) {
+    e.usize(h.counts.len());
+    for &c in &h.counts {
+        e.u64(c);
     }
-    e.u64(d.count);
-    e.u64(d.min_bits);
-    e.u64(d.max_bits);
+    e.u64(h.sum);
 }
 
-fn dec_digest(d: &mut Dec<'_>) -> Result<DigestSnapshot, CodecError> {
-    let n = d.len_prefix()?;
-    let mut centroids = Vec::with_capacity(n);
-    for _ in 0..n {
-        centroids.push((d.u64()?, d.u64()?));
+/// One histogram plus its bucket total; a bucket count other than
+/// `HISTOGRAM_BUCKETS` or a total past `u64::MAX` is corruption.
+fn dec_histogram(d: &mut Dec<'_>) -> Result<(HistogramSnapshot, u64), CodecError> {
+    if d.len_prefix()? != HISTOGRAM_BUCKETS {
+        return Err(CodecError::BadValue);
     }
-    Ok(DigestSnapshot {
-        centroids,
-        count: d.u64()?,
-        min_bits: d.u64()?,
-        max_bits: d.u64()?,
-    })
+    let mut h = HistogramSnapshot::default();
+    let mut total = 0u64;
+    for c in &mut h.counts {
+        *c = d.u64()?;
+        total = total.checked_add(*c).ok_or(CodecError::BadValue)?;
+    }
+    h.sum = d.u64()?;
+    Ok((h, total))
 }
 
 fn enc_edges(e: &mut Enc, edges: &[(u32, u32)]) {
@@ -409,8 +404,8 @@ impl ProfileSnapshot {
         e.u64(self.fingerprint);
         e.str(&self.backend);
         e.u32(self.nodes);
-        enc_digest(&mut e, &self.first_us);
-        enc_digest(&mut e, &self.gap_us);
+        enc_histogram(&mut e, &self.first_us);
+        enc_histogram(&mut e, &self.gap_us);
         e.u64(self.live_runs);
         e.u64(self.results_total);
         e.u64(self.extends_total);
@@ -425,16 +420,22 @@ impl ProfileSnapshot {
         frame(EntryKind::Profile, self.encode_payload())
     }
 
-    /// Parses full file bytes, verifying the header end to end.
+    /// Parses full file bytes, verifying the header end to end and the
+    /// histogram totals against `live_runs`.
     pub fn decode(bytes: &[u8]) -> Result<ProfileSnapshot, CodecError> {
         let payload = unframe(bytes, EntryKind::Profile)?;
         let mut d = Dec::new(payload);
+        let fingerprint = d.u64()?;
+        let backend = d.str()?;
+        let nodes = d.u32()?;
+        let (first_us, first_total) = dec_histogram(&mut d)?;
+        let (gap_us, gap_total) = dec_histogram(&mut d)?;
         let snap = ProfileSnapshot {
-            fingerprint: d.u64()?,
-            backend: d.str()?,
-            nodes: d.u32()?,
-            first_us: dec_digest(&mut d)?,
-            gap_us: dec_digest(&mut d)?,
+            fingerprint,
+            backend,
+            nodes,
+            first_us,
+            gap_us,
             live_runs: d.u64()?,
             results_total: d.u64()?,
             extends_total: d.u64()?,
@@ -443,6 +444,9 @@ impl ProfileSnapshot {
             hydrate_hits: d.u64()?,
         };
         expect_drained(&d)?;
+        if first_total > snap.live_runs || gap_total > first_total {
+            return Err(CodecError::BadValue);
+        }
         Ok(snap)
     }
 }
@@ -499,7 +503,7 @@ fn unframe(bytes: &[u8], expect: EntryKind) -> Result<&[u8], CodecError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn sample_answers() -> AnswerSnapshot {
@@ -547,23 +551,21 @@ mod tests {
         assert_eq!(GraphSnapshot::decode(&snap.encode()).unwrap(), snap);
     }
 
+    fn histogram(values: &[u64]) -> HistogramSnapshot {
+        let mut h = HistogramSnapshot::default();
+        for &v in values {
+            h.record(v);
+        }
+        h
+    }
+
     fn sample_profile() -> ProfileSnapshot {
         ProfileSnapshot {
             fingerprint: 0x0123_4567_89ab_cdef,
             backend: "mcs-m".to_string(),
             nodes: 12,
-            first_us: DigestSnapshot {
-                centroids: vec![(120.5f64.to_bits(), 3), (900.0f64.to_bits(), 1)],
-                count: 4,
-                min_bits: 98.0f64.to_bits(),
-                max_bits: 900.0f64.to_bits(),
-            },
-            gap_us: DigestSnapshot {
-                centroids: vec![(7.25f64.to_bits(), 40)],
-                count: 40,
-                min_bits: 2.0f64.to_bits(),
-                max_bits: 31.0f64.to_bits(),
-            },
+            first_us: histogram(&[98, 120, 143, 900]),
+            gap_us: histogram(&[2, 7, 31]),
             live_runs: 4,
             results_total: 44,
             extends_total: 391,
@@ -609,6 +611,106 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A profile payload with raw histogram fields: `(bucket counts,
+    /// sum)` for first-result and gap latency, then the totals.
+    fn profile_payload(first: &[u64], gap: &[u64], live_runs: u64) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.u64(0xabc);
+        e.str("mcs-m");
+        e.u32(6);
+        for counts in [first, gap] {
+            e.usize(counts.len());
+            for &c in counts {
+                e.u64(c);
+            }
+            e.u64(100); // sum
+        }
+        for total in [live_runs, 40, 300, 5_000, 0, 0] {
+            e.u64(total);
+        }
+        e.finish()
+    }
+
+    /// Well-framed profile files that must not decode, by name: histogram
+    /// layouts the decoder rejects, and a profile written by an earlier
+    /// build whose latency sketch was a t-digest.
+    pub(crate) fn hostile_profile_files() -> Vec<(&'static str, Vec<u8>)> {
+        let buckets = |fill: &[u64]| {
+            let mut counts = vec![0u64; HISTOGRAM_BUCKETS];
+            counts[..fill.len()].copy_from_slice(fill);
+            counts
+        };
+        let two = buckets(&[1, 1]);
+        let mut old = Enc::new();
+        old.u64(0xabc);
+        old.str("mcs-m");
+        old.u32(6);
+        // t-digest: centroid count, (mean bits, weight) pairs, count, min
+        // and max bits.
+        for (centroids, count) in [
+            (&[(120.5f64, 3u64), (900.0, 1)][..], 4u64),
+            (&[(7.25, 3)][..], 3),
+        ] {
+            old.usize(centroids.len());
+            for &(mean, weight) in centroids {
+                old.u64(mean.to_bits());
+                old.u64(weight);
+            }
+            old.u64(count);
+            old.u64(centroids[0].0.to_bits());
+            old.u64(centroids[centroids.len() - 1].0.to_bits());
+        }
+        for total in [4u64, 40, 300, 5_000, 0, 0] {
+            old.u64(total);
+        }
+        [
+            (
+                "one bucket short",
+                profile_payload(&two[1..], &[0; HISTOGRAM_BUCKETS], 4),
+            ),
+            (
+                "one bucket extra",
+                profile_payload(&[two.as_slice(), &[0]].concat(), &[0; HISTOGRAM_BUCKETS], 4),
+            ),
+            (
+                "bucket total overflows",
+                profile_payload(&buckets(&[u64::MAX, 1]), &[0; HISTOGRAM_BUCKETS], u64::MAX),
+            ),
+            (
+                "first-result total above live runs",
+                profile_payload(&two, &[0; HISTOGRAM_BUCKETS], 1),
+            ),
+            (
+                "gap total above first-result total",
+                profile_payload(&two, &buckets(&[3]), 4),
+            ),
+            ("t-digest layout", old.finish()),
+        ]
+        .into_iter()
+        .map(|(name, payload)| (name, frame(EntryKind::Profile, payload)))
+        .collect()
+    }
+
+    #[test]
+    fn hostile_profiles_fail_to_decode() {
+        // The builder itself is sound: the same fields with valid totals
+        // decode.
+        let valid = frame(
+            EntryKind::Profile,
+            profile_payload(&[1; HISTOGRAM_BUCKETS], &[0; HISTOGRAM_BUCKETS], 28),
+        );
+        assert_eq!(
+            ProfileSnapshot::decode(&valid).unwrap().first_us.count(),
+            28
+        );
+        for (name, bytes) in hostile_profile_files() {
+            assert!(
+                ProfileSnapshot::decode(&bytes).is_err(),
+                "{name} decoded Ok"
+            );
         }
     }
 

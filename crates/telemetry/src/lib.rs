@@ -5,7 +5,11 @@
 //! - [`metrics`] — lock-striped [`Counter`]s, [`Gauge`]s and
 //!   fixed-bucket log-scale [`Histogram`]s with p50/p95/p99 extraction.
 //!   Recording is a handful of `Relaxed` atomic ops; aggregation cost is
-//!   paid by the reader.
+//!   paid by the reader. The histogram is the workspace's one quantile
+//!   sketch: its plain [`HistogramSnapshot`] form also holds the engine's
+//!   per-atom latency profiles and is what the store persists, so every
+//!   latency quantile the system reports carries the same one-octave
+//!   accuracy and the same 2^26 µs ceiling.
 //! - [`registry`] — a named [`Registry`] of metric families rendered in
 //!   the Prometheus text exposition format (plus [`registry::promtext`],
 //!   a parser for that format so tests can pin render → parse).

@@ -193,9 +193,11 @@ impl std::fmt::Debug for Histogram {
     }
 }
 
-/// An immutable copy of a [`Histogram`]'s state; what renderers and
-/// percentile extraction work from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A plain copy of a [`Histogram`]'s state; what renderers and
+/// percentile extraction work from. It is also the workspace's
+/// single-owner sketch: code that already holds a lock (the engine's
+/// cost profiles) records into one directly, and the store persists it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket (non-cumulative) counts.
     pub counts: [u64; HISTOGRAM_BUCKETS],
@@ -204,6 +206,21 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Records one value, bucketed exactly as [`Histogram::record`] does.
+    pub fn record(&mut self, value: u64) {
+        self.counts[bucket_index(value)] += 1;
+        self.sum = self.sum.saturating_add(value);
+    }
+
+    /// Adds `other`'s counts and sum into this snapshot: the result is
+    /// what one histogram recording both streams would hold.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine = mine.saturating_add(*theirs);
+        }
+        self.sum = self.sum.saturating_add(other.sum);
+    }
+
     /// Total recorded values.
     pub fn count(&self) -> u64 {
         self.counts.iter().sum()
@@ -366,6 +383,34 @@ mod tests {
         assert!((512..=1024).contains(&p95), "p95={p95}");
         assert!((512..=1024).contains(&p99), "p99={p99}");
         assert!(p50 <= p95 && p95 <= p99, "quantiles are monotone");
+    }
+
+    #[test]
+    fn merge_equals_recording_both_streams_into_one() {
+        let a_values = [0u64, 1, 3, 17, 250, 4096, 1 << 26, u64::MAX / 4];
+        let b_values = [2u64, 3, 900, 65_000, (1 << 26) + 1];
+        let (mut a, mut b, mut both) = (
+            HistogramSnapshot::default(),
+            HistogramSnapshot::default(),
+            HistogramSnapshot::default(),
+        );
+        for &v in &a_values {
+            a.record(v);
+            both.record(v);
+        }
+        for &v in &b_values {
+            b.record(v);
+            both.record(v);
+        }
+        a.merge(&b);
+        assert_eq!(a, both);
+        // Recording into a snapshot buckets exactly as the atomic
+        // histogram does.
+        let h = Histogram::new();
+        for &v in a_values.iter().chain(&b_values) {
+            h.record(v);
+        }
+        assert_eq!(h.snapshot(), both);
     }
 
     #[test]
